@@ -12,7 +12,6 @@ import numpy as np
 
 from kscertify import (
     StateSpec,
-    build_inequality,
     build_instance,
     compute_weights,
     load_rayset,
@@ -20,20 +19,22 @@ from kscertify import (
     quantum_value,
 )
 
+# The edge terms pair orthogonal projectors and vanish on every state, so the
+# quantum value needs only the vertex weights, not the classical bound.
 for entry_id in ("peres-33", "conway-kochen-31", "ceg-18"):
     instance = build_instance(load_rayset(entry_id))
-    inequality = build_inequality(instance)
-    n = inequality.quantum_value
+    weights = compute_weights(instance)
+    n = instance.n_bases
 
     # Exact check of the underlying operator identity sum_i w_i P_i = N*I,
     # carried out in the quadratic ring without any floating point.
-    assert operator_sum_check(instance, compute_weights(instance))
+    assert operator_sum_check(instance, weights)
 
-    mixed = quantum_value(instance, inequality, StateSpec.maximally_mixed())
+    mixed = quantum_value(instance, weights, StateSpec.maximally_mixed())
 
     deviations = []
     for seed in range(200):
-        value = quantum_value(instance, inequality, StateSpec.random_pure(seed))
+        value = quantum_value(instance, weights, StateSpec.random_pure(seed))
         deviations.append(abs(value - n))
 
     print(f"{entry_id}: N = {n}")
@@ -45,8 +46,7 @@ for entry_id in ("peres-33", "conway-kochen-31", "ceg-18"):
 # An explicit state works too - here the first basis vector of the
 # computational basis in dimension 3.
 instance = build_instance(load_rayset("peres-33"))
-inequality = build_inequality(instance)
 rho = np.zeros((3, 3), dtype=complex)
 rho[0, 0] = 1.0
-value = quantum_value(instance, inequality, StateSpec.explicit(rho))
+value = quantum_value(instance, compute_weights(instance), StateSpec.explicit(rho))
 print(f"\nexplicit |0><0| state on peres-33: W = {value!r}")

@@ -10,14 +10,13 @@ the orthogonality graph (the classical bound) with the number of bases
 """
 
 from kscertify import (
-    brute_force_alpha,
+    DefinitionMode,
     build_inequality,
     build_instance,
+    check_colorable,
     compute_weights,
     emit_inequality,
-    gap_report,
     load_rayset,
-    weighted_independence_number,
 )
 
 rayset = load_rayset("peres-33")
@@ -32,21 +31,22 @@ print(f"sum of weights = {sum(weights)} = bases x dimension = "
       f"{instance.n_bases} x {rayset.dimension}")
 
 # Step 2 - the classical bound is the exact maximum weight of an
-# independent set in the orthogonality graph, here cross-checked by a
-# second bounding function inside the same branch-and-bound solver.
-alpha = weighted_independence_number(instance.graph, weights)
-again = weighted_independence_number(instance.graph, weights, bound="weight_sum")
-assert alpha == again
-print(f"classical bound alpha(G,w) = {alpha}")
+# independent set in the orthogonality graph, computed once, by branch and
+# bound, when the inequality is built.
+inequality = build_inequality(instance)
+print(f"classical bound alpha(G,w) = {inequality.classical_bound}")
 
 # Step 3 - the quantum value is simply the number of bases, because the
 # weighted projectors sum to that multiple of the identity.
-report = gap_report(instance)
-print(f"quantum value N = {report.quantum_value}")
-print(f"gap = {report.gap}  ->  original KS set: {report.is_original_ks}")
+print(f"quantum value N = {inequality.quantum_value}")
+print(f"gap = {inequality.gap}  ->  original KS set: {inequality.is_original_ks}")
+
+# The gap is an independent route to the verdict of the coloring search:
+# alpha = N exactly when some original 0/1 coloring exists.
+colorable = check_colorable(instance, DefinitionMode.ORIGINAL).colorable
+assert inequality.is_original_ks == (not colorable)
 
 # The full inequality serializes to a small text format.
-inequality = build_inequality(instance)
 text = emit_inequality(inequality)
 print("\nserialized inequality (first and last lines):")
 lines = text.splitlines()
@@ -63,7 +63,9 @@ single = build_instance(validate_rayset(
      exact_ray([0, 0, 1], disc=1)],
     name="one-basis", mode=ScalarMode.integer(),
 ))
-small = gap_report(single)
+small = build_inequality(single)
 print(f"\none basis: alpha = {small.classical_bound}, N = {small.quantum_value}, "
       f"gap = {small.gap} (not a KS set)")
-assert brute_force_alpha(single.graph, compute_weights(single)) == 1
+# Three mutually orthogonal rays of weight 1: any one of them is a maximum
+# independent set.
+assert small.classical_bound == 1

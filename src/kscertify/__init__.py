@@ -37,14 +37,11 @@ from .coloring import (
     verify_assignment,
 )
 from .inequality import (
-    GapReport,
     Inequality,
     StateSpec,
-    brute_force_alpha,
     build_inequality,
     compute_weights,
     edge_weights,
-    gap_report,
     operator_sum_check,
     quantum_value,
     weighted_independence_number,
@@ -71,7 +68,6 @@ __all__ = [
     "CompatibilityGraph",
     "DefinitionMode",
     "DuplicateRayError",
-    "GapReport",
     "Inequality",
     "InvalidGeometryError",
     "ParseError",
@@ -81,7 +77,6 @@ __all__ = [
     "RayVector",
     "ScalarMode",
     "StateSpec",
-    "brute_force_alpha",
     "build_graph",
     "build_inequality",
     "build_instance",
@@ -95,7 +90,6 @@ __all__ = [
     "emit_rayset",
     "enumerate_bases",
     "exact_ray",
-    "gap_report",
     "get_entry",
     "inner_product",
     "is_ks_set",

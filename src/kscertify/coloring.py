@@ -70,7 +70,7 @@ def check_colorable(instance: ProblemInstance, mode: DefinitionMode) -> Coloring
     if not bases:
         raise ValueError("instance has no complete basis; colorability is vacuous")
     n = instance.graph.vertex_count
-    adjacency = instance.graph.adjacency
+    neighbors = instance.graph.neighbors
     original = mode is DefinitionMode.ORIGINAL
 
     vertex_bases: list[list[int]] = [[] for _ in range(n)]
@@ -118,8 +118,11 @@ def check_colorable(instance: ProblemInstance, mode: DefinitionMode) -> Coloring
                         forced = next(w for w in bases[bi] if values[w] is None)
                         work.append((forced, 1))
             if x == 1 and original:
-                for w in adjacency[u]:
-                    work.append((w, 0))
+                rest = neighbors[u]
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    work.append((low.bit_length() - 1, 0))
         return True
 
     def undo(mark: int) -> None:
@@ -133,23 +136,33 @@ def check_colorable(instance: ProblemInstance, mode: DefinitionMode) -> Coloring
                 else:
                     zeros[bi] -= 1
 
-    def search() -> bool:
-        nonlocal nodes
-        v = next((i for i in range(n) if values[i] is None), -1)
-        if v < 0:
-            return True
-        for value in (1, 0):
-            nodes += 1
-            mark = len(trail)
-            if assign(v, value) and search():
-                return True
-            undo(mark)
-        return False
+    def first_free(start: int) -> int:
+        return next((i for i in range(start, n) if values[i] is None), -1)
 
-    if search():
-        witness = tuple(values)  # type: ignore[arg-type]
-        return ColoringResult(colorable=True, witness=witness, nodes_explored=nodes, mode=mode)
-    return ColoringResult(colorable=False, witness=None, nodes_explored=nodes, mode=mode)
+    # Depth-first search with an explicit stack (no recursion-depth ceiling).
+    # Each frame is a branch taken: (vertex, trail mark, value).  The branch
+    # vertex is the lowest unassigned one, tried with 1 before 0; vertices
+    # below it stay assigned in every deeper frame.
+    frames: list[tuple[int, int, int]] = []
+    v, value = first_free(0), 1
+    while v >= 0:
+        nodes += 1
+        mark = len(trail)
+        if assign(v, value):
+            frames.append((v, mark, value))
+            v, value = first_free(v), 1
+            continue
+        undo(mark)
+        while value == 0:
+            if not frames:
+                return ColoringResult(
+                    colorable=False, witness=None, nodes_explored=nodes, mode=mode
+                )
+            v, mark, value = frames.pop()
+            undo(mark)
+        value = 0
+    witness = tuple(values)  # type: ignore[arg-type]
+    return ColoringResult(colorable=True, witness=witness, nodes_explored=nodes, mode=mode)
 
 
 def is_ks_set(instance: ProblemInstance, mode: DefinitionMode) -> bool:

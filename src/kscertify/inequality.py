@@ -43,14 +43,6 @@ def edge_weights(
     return {(i, j): max(weights[i], weights[j]) for i, j in graph.sorted_edges()}
 
 
-def _adjacency_masks(graph: CompatibilityGraph) -> list[int]:
-    masks = [0] * graph.vertex_count
-    for i, j in graph.edges:
-        masks[i] |= 1 << j
-        masks[j] |= 1 << i
-    return masks
-
-
 def _validate_weights(weights: WeightVector, n: int) -> None:
     if len(weights) != n:
         raise ValueError("weight vector length does not match vertex count")
@@ -59,34 +51,19 @@ def _validate_weights(weights: WeightVector, n: int) -> None:
             raise ValueError("weights must be nonnegative integers")
 
 
-def weighted_independence_number(
-    graph: CompatibilityGraph,
-    weights: WeightVector,
-    bound: str = "clique_cover",
-) -> int:
+def weighted_independence_number(graph: CompatibilityGraph, weights: WeightVector) -> int:
     """Exact maximum total weight of an independent set, by branch and bound.
 
-    ``bound`` selects the admissible pruning bound: "clique_cover" covers the
-    remaining candidates greedily by cliques and adds the heaviest vertex of
-    each, "weight_sum" simply adds all remaining weights.  Both are upper
-    bounds on what the remaining candidates can contribute, so the returned
-    value is exact either way; the choice only affects the search size.
+    The pruning bound covers the remaining candidates greedily by cliques and
+    adds the heaviest vertex of each, an upper bound on what those candidates
+    can contribute, so the returned value is exact.
     """
     n = graph.vertex_count
     _validate_weights(weights, n)
-    if bound not in ("clique_cover", "weight_sum"):
-        raise ValueError(f"unknown bound function {bound!r}")
-    adj = _adjacency_masks(graph)
+    adj = graph.neighbors
     order = sorted(range(n), key=lambda v: (-weights[v], v))
 
-    def bound_weight_sum(mask: int) -> int:
-        total = 0
-        for v in order:
-            if mask & (1 << v):
-                total += weights[v]
-        return total
-
-    def bound_clique_cover(mask: int) -> int:
+    def bound(mask: int) -> int:
         clique_masks: list[int] = []
         total = 0
         for v in order:
@@ -102,18 +79,14 @@ def weighted_independence_number(
                 total += weights[v]  # heaviest member: order is by weight
         return total
 
-    bound_fn = bound_clique_cover if bound == "clique_cover" else bound_weight_sum
-
     # Greedy independent set gives the initial lower bound.
     best = 0
-    taken = 0
     blocked = 0
     for v in order:
         bit = 1 << v
         if not blocked & bit:
-            taken += weights[v]
+            best += weights[v]
             blocked |= bit | adj[v]
-    best = taken
 
     def dfs(mask: int, current: int) -> None:
         nonlocal best
@@ -121,7 +94,7 @@ def weighted_independence_number(
             best = current
         if mask == 0:
             return
-        if current + bound_fn(mask) <= best:
+        if current + bound(mask) <= best:
             return
         v = next(u for u in order if mask & (1 << u))
         bit = 1 << v
@@ -130,30 +103,6 @@ def weighted_independence_number(
 
     dfs((1 << n) - 1, 0)
     return best
-
-
-def brute_force_alpha(graph: CompatibilityGraph, weights: WeightVector) -> int:
-    """Independent oracle: evaluate every one of the 2^n vertex subsets.
-
-    Restricted to 25 vertices.  Subsets are built up one vertex at a time;
-    a subset is independent iff the subset without its highest vertex is
-    independent and that vertex has no neighbor among the rest.
-    """
-    n = graph.vertex_count
-    _validate_weights(weights, n)
-    if n > 25:
-        raise ValueError(f"brute force is limited to 25 vertices, got {n}")
-    low_adj = [0] * n
-    for i, j in graph.edges:
-        low_adj[max(i, j)] |= 1 << min(i, j)
-    independent = np.ones(1, dtype=bool)
-    total = np.zeros(1, dtype=np.int32)
-    for k in range(n):
-        prefixes = np.arange(1 << k, dtype=np.uint32)
-        compatible = (prefixes & np.uint32(low_adj[k])) == 0
-        independent = np.concatenate([independent, independent & compatible])
-        total = np.concatenate([total, total + np.int32(weights[k])])
-    return int(total[independent].max())
 
 
 @dataclass(frozen=True)
@@ -176,8 +125,23 @@ class Inequality:
         if self.classical_bound > self.quantum_value:
             raise ValueError("classical bound cannot exceed the quantum value")
 
+    @property
+    def gap(self) -> int:
+        """N - alpha, the quantum value minus the classical bound."""
+        return self.quantum_value - self.classical_bound
 
-def _pruned_weights(instance: ProblemInstance) -> WeightVector:
+    @property
+    def is_original_ks(self) -> bool:
+        """A strictly positive gap certifies an original KS set."""
+        return self.gap >= 1
+
+
+def pruned_weights(instance: ProblemInstance) -> WeightVector:
+    """The weights of a pruned instance, the only kind an inequality is built on.
+
+    Raises ValueError when the instance has no basis, or has rays outside
+    every basis (zero-weight terms would be dead weight), advising to prune.
+    """
     if not instance.bases:
         raise ValueError("instance has no complete basis")
     weights = compute_weights(instance)
@@ -189,12 +153,8 @@ def _pruned_weights(instance: ProblemInstance) -> WeightVector:
 
 
 def build_inequality(instance: ProblemInstance) -> Inequality:
-    """Synthesize the inequality of a pruned instance.
-
-    Requires every vertex to lie in at least one basis (zero-weight terms
-    would be dead weight); raises ValueError advising to prune otherwise.
-    """
-    weights = _pruned_weights(instance)
+    """Synthesize the inequality of a pruned instance (see pruned_weights)."""
+    weights = pruned_weights(instance)
     ew = edge_weights(weights, instance.graph)
     alpha = weighted_independence_number(instance.graph, weights)
     return Inequality(
@@ -202,29 +162,6 @@ def build_inequality(instance: ProblemInstance) -> Inequality:
         edge_terms=tuple((i, j, w) for (i, j), w in sorted(ew.items())),
         classical_bound=alpha,
         quantum_value=instance.n_bases,
-    )
-
-
-@dataclass(frozen=True)
-class GapReport:
-    """Classical/quantum comparison for one pruned instance."""
-
-    quantum_value: int
-    classical_bound: int
-    gap: int
-    is_original_ks: bool
-
-
-def gap_report(instance: ProblemInstance) -> GapReport:
-    """The gap N - alpha; a strictly positive gap certifies an original KS set."""
-    weights = _pruned_weights(instance)
-    alpha = weighted_independence_number(instance.graph, weights)
-    n_bases = instance.n_bases
-    return GapReport(
-        quantum_value=n_bases,
-        classical_bound=alpha,
-        gap=n_bases - alpha,
-        is_original_ks=n_bases - alpha >= 1,
     )
 
 
@@ -279,20 +216,19 @@ def _unit_ray_matrix(instance: ProblemInstance) -> np.ndarray:
 
 
 def quantum_value(
-    instance: ProblemInstance, inequality: Inequality, state: StateSpec
+    instance: ProblemInstance, weights: WeightVector, state: StateSpec
 ) -> float:
     """Evaluate the inequality functional W on a quantum state.
 
     The edge operators pair orthogonal projectors, so their expectations
     vanish identically and W reduces to the weighted sum of projector
-    expectations sum_i w_i Tr(rho Pi_i).
+    expectations sum_i w_i Tr(rho Pi_i): only the vertex weights enter.
     """
     rows = _unit_ray_matrix(instance)
-    if len(inequality.vertex_weights) != rows.shape[0]:
-        raise ValueError("inequality does not match the instance")
+    _validate_weights(weights, rows.shape[0])
     rho = _density_matrix(state, rows.shape[1])
     expectations = np.einsum("ij,jk,ik->i", rows.conj(), rho, rows).real
-    return float(np.dot(inequality.vertex_weights, expectations))
+    return float(np.dot(weights, expectations))
 
 
 class _QuadFraction:

@@ -10,15 +10,16 @@ certification verdict.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Sequence
+from functools import cached_property, reduce
+from typing import Sequence
 
 from .algebra import DEFAULT_TOLERANCE, RayVector, canonicalize_ray, is_orthogonal
 
 
 class DuplicateRayError(ValueError):
-    """Two input rays are colinear and collapse to the same canonical ray."""
+    """Two input rays are colinear: one is a nonzero multiple of the other."""
 
     def __init__(self, index_a: int, index_b: int) -> None:
         self.index_a = index_a
@@ -69,6 +70,27 @@ class RaySet:
     rays: tuple[RayVector, ...]
 
 
+def _colinearity_key(ray: RayVector) -> tuple[tuple[int, int], ...]:
+    """A key shared by exactly the exact rays colinear over Q(sqrt(m)).
+
+    The canonical form only removes rational factors, so (1, 1, 0) and
+    (sqrt(2), sqrt(2), 0) keep distinct canonical forms.  Multiplying by the
+    conjugate a - b*sqrt(m) of the first nonzero coordinate a + b*sqrt(m)
+    turns that coordinate into the nonzero rational a^2 - m*b^2; colinear
+    rays then differ by a rational factor, which the gcd and the sign of
+    that coordinate remove.
+    """
+    m = ray.disc
+    parts = [(c.rat_part, c.irr_part) for c in ray.coords]
+    k = next(i for i, p in enumerate(parts) if p != (0, 0))
+    a, b = parts[k]
+    scaled = [(x * a - m * y * b, y * a - x * b) for x, y in parts]
+    g = reduce(math.gcd, (abs(v) for p in scaled for v in p))
+    if scaled[k][0] < 0:
+        g = -g
+    return tuple((x // g, y // g) for x, y in scaled)
+
+
 def validate_rayset(rays: Sequence[RayVector], name: str, mode: ScalarMode) -> RaySet:
     """Canonicalize and cross-check candidate rays into a RaySet.
 
@@ -94,7 +116,7 @@ def validate_rayset(rays: Sequence[RayVector], name: str, mode: ScalarMode) -> R
     if mode.is_exact:
         seen: dict[tuple, int] = {}
         for i, ray in enumerate(canonical):
-            key = tuple((c.rat_part, c.irr_part) for c in ray.coords)
+            key = _colinearity_key(ray)
             if key in seen:
                 raise DuplicateRayError(seen[key], i)
             seen[key] = i
@@ -122,15 +144,20 @@ class CompatibilityGraph:
                 raise ValueError(f"edge ({i}, {j}) is not an ordered vertex pair")
 
     @cached_property
-    def adjacency(self) -> tuple[frozenset[int], ...]:
-        neighbors: list[set[int]] = [set() for _ in range(self.vertex_count)]
+    def neighbors(self) -> tuple[int, ...]:
+        """Neighbour bitmasks: bit j of entry i is set when (i, j) is an edge.
+
+        The one form of the graph that every solver reads, built once from
+        ``edges``.
+        """
+        masks = [0] * self.vertex_count
         for i, j in self.edges:
-            neighbors[i].add(j)
-            neighbors[j].add(i)
-        return tuple(frozenset(s) for s in neighbors)
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        return tuple(masks)
 
     def has_edge(self, i: int, j: int) -> bool:
-        return j in self.adjacency[i]
+        return bool(self.neighbors[i] >> j & 1)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
@@ -163,25 +190,30 @@ def enumerate_bases(rayset: RaySet, graph: CompatibilityGraph) -> tuple[Basis, .
     InvalidGeometryError (it can only arise from a degenerate numeric input).
     """
     d = rayset.dimension
-    adjacency = graph.adjacency
-    n = graph.vertex_count
+    neighbors = graph.neighbors
     found: list[Basis] = []
 
-    def extend(clique: list[int], candidates: list[int]) -> None:
+    def extend(clique: list[int], common: int, candidates: int) -> None:
+        # common: the vertices orthogonal to every clique member; candidates:
+        # those of them above the last member, which may still extend it.
         if len(clique) == d:
-            for v in range(n):
-                if v not in clique and all(v in adjacency[u] for u in clique):
-                    raise InvalidGeometryError(
-                        f"rays {clique + [v]} are mutually orthogonal, exceeding dimension {d}"
-                    )
+            if common:
+                v = (common & -common).bit_length() - 1
+                raise InvalidGeometryError(
+                    f"rays {clique + [v]} are mutually orthogonal, exceeding dimension {d}"
+                )
             found.append(tuple(clique))
             return
-        for idx, v in enumerate(candidates):
-            rest = [w for w in candidates[idx + 1:] if w in adjacency[v]]
-            if len(clique) + 1 + len(rest) >= d:
-                extend(clique + [v], rest)
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            v = low.bit_length() - 1
+            rest = candidates & neighbors[v]
+            if len(clique) + 1 + rest.bit_count() >= d:
+                extend(clique + [v], common & neighbors[v], rest)
 
-    extend([], list(range(n)))
+    everything = (1 << graph.vertex_count) - 1
+    extend([], everything, everything)
     return tuple(found)
 
 

@@ -2,8 +2,9 @@
 
 Nine criteria, one test and one printed PASS/FAIL line each.  Every claim is
 checked against an independent method: brute-force enumeration, a second
-bounding function, exact operator sums, or the command-line interface driven
-through temporary files.
+branch and bound with another bounding function (both in ``oracles.py``),
+exact operator sums, or the command-line interface driven through temporary
+files.
 """
 
 from __future__ import annotations
@@ -19,10 +20,8 @@ from kscertify.cli import run_command
 from kscertify.coloring import DefinitionMode, check_colorable, verify_assignment
 from kscertify.inequality import (
     StateSpec,
-    brute_force_alpha,
     build_inequality,
     compute_weights,
-    gap_report,
     operator_sum_check,
     quantum_value,
     weighted_independence_number,
@@ -37,6 +36,7 @@ from kscertify.rayset import (
 )
 
 from conftest import brute_force_colorable, make_synthetic_instance
+from oracles import brute_force_alpha, weight_sum_alpha
 
 import io
 
@@ -83,13 +83,12 @@ def _random_weighted_graph(rng: random.Random):
 
 def _maximum_cliques(graph: CompatibilityGraph) -> list[tuple[int, ...]]:
     """All cliques of maximum size, found by exhaustive extension."""
-    adjacency = graph.adjacency
     found: list[tuple[int, ...]] = []
 
     def extend(clique: tuple[int, ...], candidates: list[int]) -> None:
         found.append(clique)
         for k, v in enumerate(candidates):
-            extend(clique + (v,), [w for w in candidates[k + 1 :] if w in adjacency[v]])
+            extend(clique + (v,), [w for w in candidates[k + 1 :] if graph.has_edge(v, w)])
 
     extend((), list(range(graph.vertex_count)))
     best = max(len(c) for c in found)
@@ -145,10 +144,8 @@ def test_acceptance_2_classical_bound_cross_checked(capsys):
             second = brute_force_alpha(instance.graph, weights)
             method = "brute force"
         else:
-            second = weighted_independence_number(
-                instance.graph, weights, bound="weight_sum"
-            )
-            method = "second bound"
+            second = weight_sum_alpha(instance.graph, weights)
+            method = "weight-sum branch and bound"
         ok = ok and alpha == second and alpha <= instance.n_bases - 1
         details.append(f"{entry.id} alpha={alpha}<{instance.n_bases} [{method}]")
     _finish(capsys, 2, "classical bound strict and cross-checked", ok, "; ".join(details))
@@ -161,12 +158,11 @@ def test_acceptance_3_quantum_value_state_independent(capsys):
     for entry, instance in _catalog_instances():
         inequality = build_inequality(instance)
         n = inequality.quantum_value
-        mixed = quantum_value(instance, inequality, StateSpec.maximally_mixed())
+        weights = inequality.vertex_weights
+        mixed = quantum_value(instance, weights, StateSpec.maximally_mixed())
         ok = ok and abs(mixed - n) <= 1e-12
         for seed in range(100):
-            value = quantum_value(
-                instance, inequality, StateSpec.random_pure(seed)
-            )
+            value = quantum_value(instance, weights, StateSpec.random_pure(seed))
             worst = max(worst, abs(value - n))
             ok = ok and abs(value - n) <= 1e-9
         ok = ok and operator_sum_check(instance, compute_weights(instance))
@@ -217,21 +213,25 @@ def test_acceptance_5_coloring_matches_brute_force(capsys):
 
 
 def test_acceptance_6_alpha_matches_brute_force(capsys):
-    """Branch-and-bound alpha equals the subset-DP oracle on 200 graphs."""
+    """Branch-and-bound alpha equals the subset-DP oracle on 200 graphs.
+
+    The weight-sum oracle that acceptance 2 uses beyond 25 vertices is held
+    to the same brute force on the same graphs.
+    """
     mismatches = 0
     for k in range(200):
         rng = random.Random(6000 + k)
         graph, weights = _random_weighted_graph(rng)
         exact = brute_force_alpha(graph, weights)
-        for bound in ("clique_cover", "weight_sum"):
-            if weighted_independence_number(graph, weights, bound=bound) != exact:
+        for solver in (weighted_independence_number, weight_sum_alpha):
+            if solver(graph, weights) != exact:
                 mismatches += 1
     _finish(
         capsys,
         6,
         "independence number equals brute force",
         mismatches == 0,
-        f"200 graphs x 2 bounds, {mismatches} mismatches",
+        f"200 graphs x 2 solvers, {mismatches} mismatches",
     )
 
 

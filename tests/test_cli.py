@@ -90,6 +90,12 @@ def test_parse_duplicate_ray_names_line():
         parse_rayset(text)
 
 
+def test_parse_irrational_duplicate_names_line():
+    text = "ksset 1\nname t\ndim 3\nscalar quad 2\nray 1 1 0\nray 0 0 1\nray 0:1 0:1 0\n"
+    with pytest.raises(ParseError, match="line 7: rays 0 and 2 are colinear"):
+        parse_rayset(text)
+
+
 def test_parse_ray_before_directives():
     with pytest.raises(ParseError, match="before 'dim'"):
         parse_rayset("ksset 1\nray 1 0 0\n")

@@ -126,6 +126,26 @@ class TestCheckColorable:
                 assert is_ks_set(inst, ORIGINAL)
 
 
+class TestDeepSearch:
+    def test_many_disjoint_triangles_need_no_recursion(self):
+        # 1200 disjoint bases put 1200 branch frames on the search stack at
+        # once, past the interpreter's recursion limit.
+        k = 1200
+        edges = frozenset(
+            (3 * t + a, 3 * t + b) for t in range(k) for a, b in ((0, 1), (0, 2), (1, 2))
+        )
+        inst = ProblemInstance(
+            rayset=None,
+            graph=CompatibilityGraph(vertex_count=3 * k, edges=edges),
+            bases=tuple((3 * t, 3 * t + 1, 3 * t + 2) for t in range(k)),
+        )
+        for mode in (ORIGINAL, EXTENDED):
+            result = check_colorable(inst, mode)
+            assert result.colorable
+            assert result.witness == (1, 0, 0) * k
+            assert result.nodes_explored == k
+
+
 class TestPeres33:
     def test_original_uncolorable(self, peres33_instance):
         result = check_colorable(peres33_instance, ORIGINAL)

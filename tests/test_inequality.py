@@ -12,14 +12,11 @@ from conftest import make_single_basis_instance, make_synthetic_instance
 from kscertify.algebra import exact_ray
 from kscertify.coloring import DefinitionMode, check_colorable
 from kscertify.inequality import (
-    GapReport,
     Inequality,
     StateSpec,
-    brute_force_alpha,
     build_inequality,
     compute_weights,
     edge_weights,
-    gap_report,
     operator_sum_check,
     quantum_value,
     weighted_independence_number,
@@ -32,6 +29,8 @@ from kscertify.rayset import (
     prune_unbased,
     validate_rayset,
 )
+
+from oracles import brute_force_alpha, weight_sum_alpha
 
 
 def graph(n: int, edges) -> CompatibilityGraph:
@@ -118,8 +117,8 @@ class TestIndependenceNumber:
         for _ in range(60):
             g, w = random_graph_and_weights(rng)
             expected = brute_force_alpha(g, w)
-            assert weighted_independence_number(g, w, bound="clique_cover") == expected
-            assert weighted_independence_number(g, w, bound="weight_sum") == expected
+            assert weighted_independence_number(g, w) == expected
+            assert weight_sum_alpha(g, w) == expected
 
     def test_scaling_homogeneity(self):
         rng = random.Random(11)
@@ -137,10 +136,6 @@ class TestIndependenceNumber:
             weighted_independence_number(g, (-1, 1, 1))
         with pytest.raises(ValueError, match="length"):
             weighted_independence_number(g, (1, 1))
-
-    def test_unknown_bound_rejected(self):
-        with pytest.raises(ValueError, match="bound"):
-            weighted_independence_number(graph(3, set()), (1, 1, 1), bound="magic")
 
     def test_brute_force_size_limit(self):
         g = graph(26, set())
@@ -207,13 +202,13 @@ class TestBuildInequality:
 
 class TestGapReport:
     def test_single_basis_no_gap(self):
-        report = gap_report(make_single_basis_instance())
-        assert report == GapReport(
-            quantum_value=1, classical_bound=1, gap=0, is_original_ks=False
-        )
+        report = build_inequality(make_single_basis_instance())
+        assert (report.quantum_value, report.classical_bound) == (1, 1)
+        assert report.gap == 0
+        assert not report.is_original_ks
 
     def test_peres_gap(self, peres33_instance):
-        report = gap_report(peres33_instance)
+        report = build_inequality(peres33_instance)
         assert report.quantum_value == 16
         assert report.classical_bound == 15
         assert report.gap == 1
@@ -223,7 +218,7 @@ class TestGapReport:
         rng = random.Random(909)
         for _ in range(40):
             inst = prune_unbased(make_synthetic_instance(rng, max_vertices=12))
-            report = gap_report(inst)
+            report = build_inequality(inst)
             colorable = check_colorable(inst, DefinitionMode.ORIGINAL).colorable
             assert report.is_original_ks == (not colorable)
             assert (report.gap == 0) == colorable
@@ -232,7 +227,7 @@ class TestGapReport:
 class TestQuantumValue:
     def test_mixed_state_gives_basis_count(self, peres33_instance):
         ineq = build_inequality(peres33_instance)
-        w = quantum_value(peres33_instance, ineq, StateSpec.maximally_mixed())
+        w = quantum_value(peres33_instance, ineq.vertex_weights, StateSpec.maximally_mixed())
         assert abs(w - 16) <= 1e-12
 
     def test_any_pure_state_gives_basis_count(self):
@@ -240,13 +235,13 @@ class TestQuantumValue:
         ineq = build_inequality(inst)
         rho = np.zeros((3, 3), dtype=complex)
         rho[0, 0] = 1.0
-        w = quantum_value(inst, ineq, StateSpec.explicit(rho))
+        w = quantum_value(inst, ineq.vertex_weights, StateSpec.explicit(rho))
         assert abs(w - 2) <= 1e-12
 
     def test_random_pure_states_reproducible(self, peres33_instance):
         ineq = build_inequality(peres33_instance)
-        a = quantum_value(peres33_instance, ineq, StateSpec.random_pure(42))
-        b = quantum_value(peres33_instance, ineq, StateSpec.random_pure(42))
+        a = quantum_value(peres33_instance, ineq.vertex_weights, StateSpec.random_pure(42))
+        b = quantum_value(peres33_instance, ineq.vertex_weights, StateSpec.random_pure(42))
         assert a == b
         assert abs(a - 16) <= 1e-9
 
@@ -261,20 +256,24 @@ class TestQuantumValue:
         ineq = build_inequality(inst)
         bad_trace = np.eye(3, dtype=complex)
         with pytest.raises(ValueError, match="trace"):
-            quantum_value(inst, ineq, StateSpec.explicit(bad_trace))
+            quantum_value(inst, ineq.vertex_weights, StateSpec.explicit(bad_trace))
         non_hermitian = np.eye(3, dtype=complex) / 3
         non_hermitian[0, 1] = 0.5
         with pytest.raises(ValueError, match="Hermitian"):
-            quantum_value(inst, ineq, StateSpec.explicit(non_hermitian))
+            quantum_value(inst, ineq.vertex_weights, StateSpec.explicit(non_hermitian))
         non_psd = np.diag([1.5, -0.5, 0.0]).astype(complex)
         with pytest.raises(ValueError, match="positive"):
-            quantum_value(inst, ineq, StateSpec.explicit(non_psd))
+            quantum_value(inst, ineq.vertex_weights, StateSpec.explicit(non_psd))
+
+    def test_weight_length_checked(self, peres33_instance):
+        with pytest.raises(ValueError, match="length"):
+            quantum_value(peres33_instance, (1,) * 32, StateSpec.maximally_mixed())
 
     def test_requires_rays(self):
         inst = make_single_basis_instance()
         ineq = build_inequality(inst)
         with pytest.raises(ValueError, match="ray set"):
-            quantum_value(inst, ineq, StateSpec.maximally_mixed())
+            quantum_value(inst, ineq.vertex_weights, StateSpec.maximally_mixed())
 
 
 class TestOperatorSum:

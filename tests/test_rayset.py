@@ -55,6 +55,28 @@ class TestValidate:
         assert (err.value.index_a, err.value.index_b) == (0, 1)
         assert "0" in str(err.value) and "1" in str(err.value)
 
+    def test_irrational_multiples_are_duplicates(self):
+        # (sqrt(2), sqrt(2), 0) = sqrt(2) * (1, 1, 0): one ray, although no
+        # rational factor relates the two canonical forms.
+        with pytest.raises(DuplicateRayError) as err:
+            validate_rayset(
+                [
+                    exact_ray([1, 1, 0], disc=2),
+                    exact_ray([0, 1, 0], disc=2),
+                    exact_ray([(0, 1), (0, 1), 0], disc=2),
+                ],
+                name="dup",
+                mode=E2,
+            )
+        assert (err.value.index_a, err.value.index_b) == (0, 2)
+        with pytest.raises(DuplicateRayError):
+            # (1 + sqrt(2)) * (1, sqrt(2), 0) = (1 + sqrt(2), 2 + sqrt(2), 0)
+            validate_rayset(
+                [exact_ray([(1, 1), (2, 1), 0], disc=2), exact_ray([1, (0, 1), 0], disc=2)],
+                name="dup",
+                mode=E2,
+            )
+
     def test_numeric_near_duplicates_rejected(self):
         with pytest.raises(DuplicateRayError):
             validate_rayset(
