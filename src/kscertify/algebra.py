@@ -199,7 +199,11 @@ def _euclidean_norm(v: RayVector) -> float:
 
 def is_orthogonal(u: RayVector, v: RayVector, tol: float = DEFAULT_TOLERANCE) -> bool:
     """Exact rays: inner product is exactly zero.  Numeric rays: the inner
-    product is at most tol relative to the product of the Euclidean norms."""
+    product is at most tol relative to the product of the Euclidean norms.
+
+    Decides one pair; ``rayset.build_graph`` decides every pair of a ray set
+    at once by the same rule.
+    """
     ip = inner_product(u, v)
     if u.exact:
         return ip.is_zero()  # type: ignore[union-attr]

@@ -130,7 +130,10 @@ def parse_rayset(text: str) -> RaySet:
                     tol = float(tokens[2])
                 except ValueError as exc:
                     raise ParseError(number, f"bad tolerance {tokens[2]!r}") from exc
-                mode = ScalarMode.numeric(tol)
+                try:
+                    mode = ScalarMode.numeric(tol)
+                except ValueError as exc:
+                    raise ParseError(number, str(exc)) from exc
             else:
                 raise ParseError(
                     number,

@@ -1,8 +1,9 @@
 """Ray-set validation, the orthogonality graph, and complete-basis enumeration.
 
 A validated ray set induces a compatibility graph whose vertices are rays and
-whose edges join orthogonal pairs.  In dimension d a complete measurement
-basis is a set of d mutually orthogonal rays, i.e. a d-clique of the graph.
+whose edges join orthogonal pairs, read off the Gram matrix of all rays at
+once.  In dimension d a complete measurement basis is a set of d mutually
+orthogonal rays, i.e. a d-clique of the graph.
 The problem instance bundles the ray set with its graph and the full list of
 bases; rays that belong to no basis can be pruned without changing any
 certification verdict.
@@ -15,7 +16,9 @@ from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Sequence
 
-from .algebra import DEFAULT_TOLERANCE, RayVector, canonicalize_ray, is_orthogonal
+import numpy as np
+
+from .algebra import DEFAULT_TOLERANCE, RayVector, canonicalize_ray
 
 
 class DuplicateRayError(ValueError):
@@ -42,6 +45,8 @@ class ScalarMode:
     def __post_init__(self) -> None:
         if self.kind not in ("exact", "numeric"):
             raise ValueError(f"unknown scalar mode {self.kind!r}")
+        if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0):
+            raise ValueError(f"numeric tolerance {self.tol!r} is not a finite number >= 0")
 
     @classmethod
     def exact(cls, disc: int) -> ScalarMode:
@@ -121,13 +126,14 @@ def validate_rayset(rays: Sequence[RayVector], name: str, mode: ScalarMode) -> R
                 raise DuplicateRayError(seen[key], i)
             seen[key] = i
     else:
-        # Canonical numeric rays are unit vectors, so colinearity within the
-        # angular tolerance reads directly off the inner product.
-        for j in range(len(canonical)):
-            for i in range(j):
-                dot = sum(a * b for a, b in zip(canonical[i].coords, canonical[j].coords))
-                if abs(dot) > 1.0 - 1e-9:
-                    raise DuplicateRayError(i, j)
+        # Canonical numeric rays are unit vectors, so colinearity reads
+        # directly off the Gram matrix.  np.nonzero walks the strict lower
+        # triangle in row-major order: the pair reported has the smallest j,
+        # then the smallest i.
+        x = np.array([ray.coords for ray in canonical], dtype=float)
+        j, i = np.nonzero(np.tril(np.abs(x @ x.T) > 1.0 - 1e-9, -1))
+        if len(j):
+            raise DuplicateRayError(int(i[0]), int(j[0]))
     return RaySet(name=name, dimension=dimension, mode=mode, rays=canonical)
 
 
@@ -163,20 +169,44 @@ class CompatibilityGraph:
         return sorted(self.edges)
 
 
-def build_graph(rayset: RaySet) -> CompatibilityGraph:
-    """Compute the orthogonality graph of a ray set.
+def _exact_gram(rays: Sequence[RayVector], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rational and sqrt(m) parts of every pairwise inner product of exact rays.
 
-    Exact rays compare inner products to zero in the ring; numeric rays use
-    the relative tolerance carried by the scalar mode.
+    With R and I the matrices of rational and irrational coordinate parts,
+    (R + sqrt(m) I)(R + sqrt(m) I)^T = (R R^T + m I I^T) + sqrt(m) (R I^T + I R^T).
+    No entry exceeds d * M^2 * (1 + m) in absolute value, M the largest
+    |part|; int64 is used only below 2**63, because NumPy's integer matmul
+    wraps silently, and exact Python ints (object dtype) otherwise.
     """
-    tol = rayset.mode.tol if rayset.mode.tol is not None else DEFAULT_TOLERANCE
-    edges = set()
-    n = len(rayset.rays)
-    for j in range(n):
-        for i in range(j):
-            if is_orthogonal(rayset.rays[i], rayset.rays[j], tol=tol):
-                edges.add((i, j))
-    return CompatibilityGraph(vertex_count=n, edges=frozenset(edges))
+    rat = [[c.rat_part for c in ray.coords] for ray in rays]
+    irr = [[c.irr_part for c in ray.coords] for ray in rays]
+    largest = max(abs(v) for row in rat + irr for v in row)
+    dtype = np.int64 if len(rat[0]) * largest**2 * (1 + m) < 2**63 else object
+    r = np.array(rat, dtype=dtype)
+    i = np.array(irr, dtype=dtype)
+    return r @ r.T + m * (i @ i.T), r @ i.T + i @ r.T
+
+
+def build_graph(rayset: RaySet) -> CompatibilityGraph:
+    """Compute the orthogonality graph of a ray set from its Gram matrix.
+
+    Exact rays are orthogonal when both parts of their inner product in the
+    ring are zero; numeric rays when the inner product is at most the
+    scalar mode's tolerance relative to the product of the Euclidean norms.
+    ``algebra.is_orthogonal`` decides the same for a single pair.
+    """
+    rays = rayset.rays
+    if rayset.mode.is_exact:
+        rational, irrational = _exact_gram(rays, rayset.mode.disc)
+        orthogonal = (rational == 0) & (irrational == 0)
+    else:
+        tol = rayset.mode.tol if rayset.mode.tol is not None else DEFAULT_TOLERANCE
+        x = np.array([ray.coords for ray in rays], dtype=float)
+        norms = np.linalg.norm(x, axis=1)
+        orthogonal = np.abs(x @ x.T) <= tol * np.outer(norms, norms)
+    rows, cols = np.nonzero(np.triu(orthogonal, 1))
+    edges = frozenset(zip(rows.tolist(), cols.tolist()))
+    return CompatibilityGraph(vertex_count=len(rays), edges=edges)
 
 
 Basis = tuple[int, ...]

@@ -96,6 +96,41 @@ def test_parse_irrational_duplicate_names_line():
         parse_rayset(text)
 
 
+def test_parse_numeric_duplicate_names_line():
+    # Rays 0 and 3 and rays 1 and 2 are colinear; the scan meets (1, 2) first.
+    text = (
+        "ksset 1\nname t\ndim 3\nscalar numeric 1e-09\n"
+        "ray 1 0 0\nray 0 1 1\nray 0 -2 -2\nray 3 0 0\n"
+    )
+    with pytest.raises(ParseError, match="line 7: rays 1 and 2 are colinear"):
+        parse_rayset(text)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf", "-inf"])
+def test_parse_bad_numeric_tolerance_names_line(tol, tmp_path, capsys):
+    text = f"ksset 1\nname t\ndim 3\nscalar numeric {tol}\nray 1 0 0\nray 0 1 0\nray 0 0 1\n"
+    with pytest.raises(ParseError, match="line 4: numeric tolerance .* is not a finite number"):
+        parse_rayset(text)
+    path = tmp_path / "bad.ks"
+    path.write_text(text, encoding="utf-8")
+    status, out = run(["verify", str(path)])
+    assert status == 2
+    assert out == ""
+    assert "line 4: numeric tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["0", "1e-09"])
+def test_numeric_tolerance_zero_and_default_accepted(tol, tmp_path):
+    path = tmp_path / "ok.ks"
+    path.write_text(
+        f"ksset 1\nname t\ndim 3\nscalar numeric {tol}\nray 1 0 0\nray 0 1 0\nray 0 0 1\n",
+        encoding="utf-8",
+    )
+    status, out = run(["verify", str(path), "--mode", "original"])
+    assert status == 1
+    assert "bases 1" in out
+
+
 def test_parse_ray_before_directives():
     with pytest.raises(ParseError, match="before 'dim'"):
         parse_rayset("ksset 1\nray 1 0 0\n")

@@ -1,11 +1,12 @@
 """Golden command-line output on the bundled catalog.
 
-Every case runs one CLI command in a scratch directory on a catalog file
-(or on a small unpruned file, for the error paths) and compares its exit
-status, stdout, stderr and any written file with ``golden_cli.json``, line
-by line.  Only the floating-point ``trial`` and ``max_deviation`` values of
-``evaluate`` are compared to within 1e-12; everything else, witnesses and
-node counts included, must match exactly.
+Every case runs one CLI command in a scratch directory on a catalog file,
+on its float form (``scalar numeric 1e-09``, which takes the floating-point
+graph path), or on a small unpruned file (for the error paths), and
+compares its exit status, stdout, stderr and any written file with
+``golden_cli.json``, line by line.  Only the floating-point ``trial`` and
+``max_deviation`` values of ``evaluate`` are compared to within 1e-12;
+everything else, witnesses and node counts included, must match exactly.
 
 Regenerate the golden file (only when an output change is intended) with
 
@@ -23,7 +24,7 @@ from pathlib import Path
 
 import pytest
 
-from kscertify.catalog import catalog_entries, load_text
+from kscertify.catalog import catalog_entries, load_rayset, load_text
 from kscertify.cli import run_command
 
 GOLDEN = Path(__file__).with_name("golden_cli.json")
@@ -42,8 +43,20 @@ ray 1 1 1
 """
 
 
+def _numeric_text(entry_id: str) -> str:
+    """A catalog set with every coordinate written as its float ``repr``."""
+    rayset = load_rayset(entry_id)
+    lines = ["ksset 1", f"name {rayset.name}", f"dim {rayset.dimension}", "scalar numeric 1e-09"]
+    for ray in rayset.rays:
+        lines.append("ray " + " ".join(repr(x) for x in ray.to_floats()))
+    return "\n".join(lines) + "\n"
+
+
 def _inputs() -> dict[str, str]:
-    texts = {f"{entry.id}.ks": load_text(entry.id) for entry in catalog_entries()}
+    texts = {}
+    for entry in catalog_entries():
+        texts[f"{entry.id}.ks"] = load_text(entry.id)
+        texts[f"{entry.id}-numeric.ks"] = _numeric_text(entry.id)
     texts["loose.ks"] = LOOSE
     return texts
 
@@ -61,6 +74,12 @@ def _cases() -> dict[str, list[str]]:
         cases[f"{entry.id} evaluate random"] = [
             "evaluate", f, "--state", "random", "--trials", "3", "--seed", "4",
         ]
+        f = f"{entry.id}-numeric.ks"
+        cases[f"{entry.id} numeric verify original"] = ["verify", f, "--mode", "original"]
+        cases[f"{entry.id} numeric verify extended"] = ["verify", f, "--mode", "extended"]
+        cases[f"{entry.id} numeric info"] = ["info", f]
+        cases[f"{entry.id} numeric inequality"] = ["inequality", f]
+        cases[f"{entry.id} numeric prune"] = ["prune", f]
     cases["loose inequality"] = ["inequality", "loose.ks"]
     cases["loose evaluate"] = ["evaluate", "loose.ks"]
     return cases

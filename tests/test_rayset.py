@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -15,6 +16,7 @@ from kscertify.rayset import (
     InvalidGeometryError,
     ProblemInstance,
     ScalarMode,
+    _exact_gram,
     build_graph,
     build_instance,
     covered_vertices,
@@ -24,6 +26,30 @@ from kscertify.rayset import (
 )
 
 E2 = ScalarMode.exact(2)
+
+# The largest coordinate part for which the Gram matrix of dimension-3
+# integer rays still fits int64: 3 * M^2 * (1 + 1) < 2**63.
+INT64_LIMIT_3D = math.isqrt((2**63 - 1) // 6)
+
+
+def validated_dropping_duplicates(rays, mode):
+    """Validate, dropping the second ray of each colinear pair found."""
+    rays = list(rays)
+    while True:
+        try:
+            return validate_rayset(rays, name="random", mode=mode)
+        except DuplicateRayError as err:
+            del rays[err.index_b]
+
+
+def pairwise_edges(rayset, tol=1e-9):
+    """The orthogonality edges by one ``is_orthogonal`` call per pair."""
+    n = len(rayset.rays)
+    return frozenset(
+        (i, j)
+        for i, j in itertools.combinations(range(n), 2)
+        if is_orthogonal(rayset.rays[i], rayset.rays[j], tol=tol)
+    )
 
 
 def axes(disc: int = 2):
@@ -84,6 +110,36 @@ class TestValidate:
                 name="near",
                 mode=ScalarMode.numeric(1e-9),
             )
+
+    def test_numeric_duplicate_pair_matches_row_scan(self):
+        # The first pair met by scanning j upward, then i < j upward.
+        rng = random.Random(5)
+        for _ in range(50):
+            base = [[rng.randint(-2, 2) for _ in range(3)] for _ in range(8)]
+            base = [v for v in base if any(v)]
+            scales = [rng.choice([-1.5, 2.0]) for _ in base]
+            rays = [numeric_ray([c * x for x in v]) for c, v in zip(scales, base)]
+            units = [tuple(x / math.hypot(*v) for x in v) for v in base]
+            expected = next(
+                (
+                    (i, j)
+                    for j in range(len(units))
+                    for i in range(j)
+                    if abs(sum(a * b for a, b in zip(units[i], units[j]))) > 1.0 - 1e-9
+                ),
+                None,
+            )
+            if expected is None:
+                validate_rayset(rays, name="r", mode=ScalarMode.numeric(1e-9))
+                continue
+            with pytest.raises(DuplicateRayError) as err:
+                validate_rayset(rays, name="r", mode=ScalarMode.numeric(1e-9))
+            assert (err.value.index_a, err.value.index_b) == expected
+
+    @pytest.mark.parametrize("tol", [float("nan"), float("inf"), -float("inf"), -1.0, -1e-12])
+    def test_bad_numeric_tolerance_rejected(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            ScalarMode.numeric(tol)
 
     def test_dimension_below_three_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
@@ -148,6 +204,75 @@ class TestGraph:
     def test_edge_validation(self):
         with pytest.raises(ValueError, match="ordered"):
             CompatibilityGraph(vertex_count=3, edges=frozenset({(1, 0)}))
+
+    @pytest.mark.parametrize("disc", [1, 2, 3, 5, 6])
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_gram_matches_pair_oracle_exact(self, disc, dim):
+        rng = random.Random(100 * disc + dim)
+
+        def part(p):
+            # Sparse parts in [-4, 4], so that orthogonal pairs are common.
+            return rng.randint(-4, 4) if rng.random() < p else 0
+
+        total = 0
+        for _ in range(5):
+            rays = []
+            while len(rays) < 40:
+                cand = [(part(0.6), part(0.3) if disc > 1 else 0) for _ in range(dim)]
+                if any(c != (0, 0) for c in cand):
+                    rays.append(exact_ray(cand, disc=disc))
+            rs = validated_dropping_duplicates(rays, ScalarMode.exact(disc))
+            edges = build_graph(rs).edges
+            assert edges == pairwise_edges(rs)
+            total += len(edges)
+        assert total, "no draw has an orthogonal pair; the check would be vacuous"
+
+    @pytest.mark.parametrize("dim", [3, 4, 5])
+    def test_gram_matches_pair_oracle_numeric(self, dim):
+        rng = random.Random(dim)
+        for tol in (1e-9, 0.3):
+            # Scaled integer rays (exactly orthogonal pairs) and generic ones.
+            integer = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(40)]
+            rays = [
+                numeric_ray([rng.uniform(0.5, 3.0) * x for x in v]) for v in integer if any(v)
+            ] + [numeric_ray([rng.gauss(0.0, 1.0) for _ in range(dim)]) for _ in range(20)]
+            rs = validated_dropping_duplicates(rays, ScalarMode.numeric(tol))
+            edges = build_graph(rs).edges
+            assert edges == pairwise_edges(rs, tol=tol)
+            assert edges
+
+    def test_int64_overflow_falls_back_to_exact_ints(self):
+        # (2^32, 1, 0) . (2^32, 0, 1) = 2^64, which wraps to 0 in int64.
+        big = 2**32
+        rs = validate_rayset(
+            [exact_ray([big, 1, 0], disc=1), exact_ray([big, 0, 1], disc=1),
+             exact_ray([0, 0, 1], disc=1)],
+            name="big",
+            mode=ScalarMode.integer(),
+        )
+        rational, _ = _exact_gram(rs.rays, 1)
+        assert rational.dtype == object
+        assert rational[0, 1] == 2**64
+        assert build_graph(rs).edges == frozenset({(0, 2)}) == pairwise_edges(rs)
+
+    def test_int64_path_just_under_guard(self):
+        m = INT64_LIMIT_3D
+        rays = [[m, 1, 0], [1, -m, 0], [m, m, 1], [m, m, -1], [1, -1, 0], [m - 1, m, 1]]
+        rs = validate_rayset(
+            [exact_ray(r, disc=1) for r in rays], name="edge", mode=ScalarMode.integer()
+        )
+        rational, _ = _exact_gram(rs.rays, 1)
+        assert rational.dtype == np.int64
+        assert build_graph(rs).edges == pairwise_edges(rs)
+        assert (0, 1) in build_graph(rs).edges
+        # One more unit on the largest part crosses the guard.
+        over = validate_rayset(
+            [exact_ray([m + 1, 1, 0], disc=1), exact_ray([1, -m - 1, 0], disc=1)],
+            name="over",
+            mode=ScalarMode.integer(),
+        )
+        assert _exact_gram(over.rays, 1)[0].dtype == object
+        assert build_graph(over).edges == frozenset({(0, 1)}) == pairwise_edges(over)
 
 
 class TestBases:
