@@ -474,3 +474,7 @@ def run_command(argv: Sequence[str], out: TextIO | None = None) -> int:
 
 def main() -> None:
     sys.exit(run_command(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    main()

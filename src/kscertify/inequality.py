@@ -51,58 +51,89 @@ def _validate_weights(weights: WeightVector, n: int) -> None:
             raise ValueError("weights must be nonnegative integers")
 
 
-def weighted_independence_number(graph: CompatibilityGraph, weights: WeightVector) -> int:
-    """Exact maximum total weight of an independent set, by branch and bound.
+def _max_weight_independent_set(
+    graph: CompatibilityGraph, weights: WeightVector
+) -> tuple[int, list[int]]:
+    """Exact branch and bound: alpha(G, w) and the vertices of a set reaching it.
 
-    The pruning bound covers the remaining candidates greedily by cliques and
-    adds the heaviest vertex of each, an upper bound on what those candidates
-    can contribute, so the returned value is exact.
+    Vertices are renumbered once by (-w, index), so the lowest set bit of any
+    candidate mask is its heaviest candidate.  The search branches on that
+    vertex, including it before excluding it, from an explicit stack (no
+    recursion-depth ceiling).  A node is pruned when a greedy clique cover of
+    its candidates, each clique counted at its heaviest member, cannot add
+    more than the incumbent already has: an independent set takes at most
+    one vertex per clique, so the returned value is exact.
     """
     n = graph.vertex_count
     _validate_weights(weights, n)
-    adj = graph.neighbors
     order = sorted(range(n), key=lambda v: (-weights[v], v))
+    rank = [0] * n
+    for r, v in enumerate(order):
+        rank[v] = r
+    w = [weights[v] for v in order]
+    adj = [0] * n
+    for i, j in graph.edges:
+        adj[rank[i]] |= 1 << rank[j]
+        adj[rank[j]] |= 1 << rank[i]
 
-    def bound(mask: int) -> int:
-        clique_masks: list[int] = []
-        total = 0
-        for v in order:
-            bit = 1 << v
-            if not mask & bit:
-                continue
-            for k, cm in enumerate(clique_masks):
-                if cm & ~adj[v] == 0:
-                    clique_masks[k] = cm | bit
-                    break
-            else:
-                clique_masks.append(bit)
-                total += weights[v]  # heaviest member: order is by weight
-        return total
+    # Greedy independent set, heaviest first: the initial incumbent.
+    best = best_set = 0
+    free = (1 << n) - 1
+    while free:
+        low = free & -free
+        v = low.bit_length() - 1
+        best += w[v]
+        best_set |= low
+        free &= ~low & ~adj[v]
 
-    # Greedy independent set gives the initial lower bound.
-    best = 0
-    blocked = 0
-    for v in order:
-        bit = 1 << v
-        if not blocked & bit:
-            best += weights[v]
-            blocked |= bit | adj[v]
-
-    def dfs(mask: int, current: int) -> None:
-        nonlocal best
+    # Each frame: (candidates, weight taken, vertices taken).
+    stack = [((1 << n) - 1, 0, 0)]
+    while stack:
+        cand, current, taken = stack.pop()
         if current > best:
-            best = current
-        if mask == 0:
-            return
-        if current + bound(mask) <= best:
-            return
-        v = next(u for u in order if mask & (1 << u))
-        bit = 1 << v
-        dfs(mask & ~bit & ~adj[v], current + weights[v])
-        dfs(mask & ~bit, current)
+            best, best_set = current, taken
+        # Sequential clique cover of the candidates, stopped as soon as it
+        # exceeds the slack best - current (the node then has to branch).
+        slack = best - current
+        cover = 0
+        uncovered = cand
+        while uncovered:
+            low = uncovered & -uncovered
+            v = low.bit_length() - 1
+            cover += w[v]
+            if cover > slack:
+                break
+            uncovered ^= low
+            clique = uncovered & adj[v]
+            while clique:
+                low = clique & -clique
+                uncovered ^= low
+                clique &= adj[low.bit_length() - 1]
+        else:
+            continue
+        low = cand & -cand
+        v = low.bit_length() - 1
+        stack.append((cand ^ low, current, taken))
+        stack.append((cand & ~low & ~adj[v], current + w[v], taken | low))
+    return best, [order[r] for r in range(n) if best_set >> r & 1]
 
-    dfs((1 << n) - 1, 0)
-    return best
+
+def weighted_independence_number(graph: CompatibilityGraph, weights: WeightVector) -> int:
+    """Exact maximum total weight of an independent set.
+
+    The optimal set the search found is re-checked against the graph, for
+    independence and for its weight, before the value is returned; a failed
+    check raises RuntimeError.
+    """
+    alpha, members = _max_weight_independent_set(graph, weights)
+    mask = sum(1 << v for v in members)
+    for v in members:
+        if graph.neighbors[v] & mask:
+            raise RuntimeError(f"alpha witness is not independent at vertex {v}")
+    total = sum(weights[v] for v in members)
+    if total != alpha:
+        raise RuntimeError(f"alpha witness weighs {total}, not {alpha}")
+    return alpha
 
 
 @dataclass(frozen=True)

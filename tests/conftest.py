@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 import random
 
 import numpy as np
 import pytest
 
-from kscertify.algebra import QuadScalar, RayVector, canonicalize_ray
+from kscertify.algebra import QuadScalar, RayVector, canonicalize_ray, exact_ray
 from kscertify.coloring import DefinitionMode
 from kscertify.rayset import (
     Basis,
@@ -53,6 +54,22 @@ def make_peres33() -> RaySet:
         for key in sorted(keys)
     ]
     return validate_rayset(rays, name="peres-33", mode=ScalarMode.exact(2))
+
+
+def make_integer_family(dim: int, values: tuple[int, ...]) -> RaySet:
+    """The family intD{0, +-values}: every nonzero integer vector of dimension
+    ``dim`` with components in {0} and +-values, one per ray (divided by the
+    gcd of its components, first nonzero component positive), sorted."""
+    components = sorted({0} | {s * x for x in values for s in (1, -1)})
+    keys = set()
+    for vec in itertools.product(components, repeat=dim):
+        if not any(vec):
+            continue
+        g = math.gcd(*vec)
+        sign = 1 if next(x for x in vec if x) > 0 else -1
+        keys.add(tuple(sign * x // g for x in vec))
+    rays = [exact_ray(list(key), disc=1) for key in sorted(keys)]
+    return validate_rayset(rays, name=f"int{dim}", mode=ScalarMode.integer())
 
 
 @pytest.fixture(scope="session")

@@ -1,12 +1,15 @@
 """Independent independence-number oracles that the library is checked against.
 
-Both read only ``graph.edges``, never the solver's own neighbour masks, and
+All read only ``graph.edges``, never the solver's own neighbour masks, and
 share no code with ``kscertify.inequality``.
 """
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
+import pytest
 
 from kscertify.rayset import CompatibilityGraph
 
@@ -67,3 +70,22 @@ def weight_sum_alpha(graph: CompatibilityGraph, weights) -> int:
         stack.append((mask & ~bit, current))
         stack.append((mask & ~bit & ~adj[v], current + weights[v]))
     return best
+
+
+def networkx_alpha(graph: CompatibilityGraph, weights) -> int:
+    """Maximum weight clique of the complement graph, by networkx.
+
+    Exact at the sizes of whole ``intD{S}`` families (about 100 vertices);
+    the calling test is skipped when networkx is not installed.
+    """
+    nx = pytest.importorskip("networkx")
+    n = graph.vertex_count
+    _check_weights(graph, weights)
+    complement = nx.Graph()
+    for v in range(n):
+        complement.add_node(v, weight=weights[v])
+    complement.add_edges_from(
+        pair for pair in itertools.combinations(range(n), 2) if pair not in graph.edges
+    )
+    _, weight = nx.max_weight_clique(complement, weight="weight")
+    return int(weight)

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import io
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import kscertify
 from kscertify.catalog import load_rayset, load_text
 from kscertify.cli import (
     ParseError,
@@ -117,6 +122,24 @@ def test_parse_bad_numeric_tolerance_names_line(tol, tmp_path, capsys):
     assert status == 2
     assert out == ""
     assert "line 4: numeric tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("module", ["kscertify", "kscertify.cli"])
+def test_python_dash_m_runs_the_cli(module, tmp_path):
+    path = tmp_path / "bad.ks"
+    path.write_text(
+        "ksset 1\nname t\ndim 3\nscalar numeric nan\nray 1 0 0\nray 0 1 0\nray 0 0 1\n",
+        encoding="utf-8",
+    )
+    src = str(Path(kscertify.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "verify", str(path)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "line 4: numeric tolerance" in proc.stderr
 
 
 @pytest.mark.parametrize("tol", ["0", "1e-09"])

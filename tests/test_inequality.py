@@ -4,11 +4,14 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import make_single_basis_instance, make_synthetic_instance
+import kscertify.inequality
+from conftest import make_integer_family, make_single_basis_instance, make_synthetic_instance
 from kscertify.algebra import exact_ray
 from kscertify.coloring import DefinitionMode, check_colorable
 from kscertify.inequality import (
@@ -30,7 +33,7 @@ from kscertify.rayset import (
     validate_rayset,
 )
 
-from oracles import brute_force_alpha, weight_sum_alpha
+from oracles import brute_force_alpha, networkx_alpha, weight_sum_alpha
 
 
 def graph(n: int, edges) -> CompatibilityGraph:
@@ -47,6 +50,15 @@ def random_graph_and_weights(rng: random.Random, max_n: int = 14):
     }
     weights = tuple(rng.randint(1, 9) for _ in range(n))
     return graph(n, edges), weights
+
+
+def permuted(g: CompatibilityGraph, weights, perm: list[int]):
+    """The same weighted graph with vertex v renamed perm[v]."""
+    new_weights = [0] * len(weights)
+    for v, w in enumerate(weights):
+        new_weights[perm[v]] = w
+    edges = {tuple(sorted((perm[i], perm[j]))) for i, j in g.edges}
+    return graph(g.vertex_count, edges), tuple(new_weights)
 
 
 def shared_vertex_instance() -> ProblemInstance:
@@ -141,6 +153,65 @@ class TestIndependenceNumber:
         g = graph(26, set())
         with pytest.raises(ValueError, match="25"):
             brute_force_alpha(g, tuple([1] * 26))
+
+    def test_witness_is_an_optimal_independent_set(self):
+        rng = random.Random(4242)
+        for _ in range(40):
+            g, w = random_graph_and_weights(rng)
+            alpha, members = kscertify.inequality._max_weight_independent_set(g, w)
+            assert not any((i, j) in g.edges for i, j in itertools.combinations(members, 2))
+            assert sum(w[v] for v in members) == alpha == brute_force_alpha(g, w)
+
+    @pytest.mark.parametrize(
+        "witness, message",
+        [((1, [0, 1]), "not independent"), ((2, [0]), "weighs 1, not 2")],
+    )
+    def test_bad_witness_raises(self, monkeypatch, witness, message):
+        # The single basis is a triangle of weight-1 vertices.
+        monkeypatch.setattr(
+            kscertify.inequality, "_max_weight_independent_set", lambda g, w: witness
+        )
+        with pytest.raises(RuntimeError, match=message):
+            build_inequality(make_single_basis_instance())
+
+    def test_deep_search_has_no_recursion_ceiling(self):
+        # A heavy path a-b-c (weights 20, 30, 20) ahead of k disjoint light
+        # edges: the greedy incumbent takes b, the optimum takes a and c, and
+        # the search reaches it only by branching on one vertex of every edge,
+        # more levels deep than the interpreter's recursion limit.
+        k = sys.getrecursionlimit() + 100
+        edges = {(0, 1), (1, 2)} | {(3 + 2 * i, 4 + 2 * i) for i in range(k)}
+        weights = (20, 30, 20) + (1,) * (2 * k)
+        assert weighted_independence_number(graph(3 + 2 * k, edges), weights) == 40 + k
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.randoms(use_true_random=False))
+    def test_invariant_under_relabelling(self, rng):
+        inst = make_synthetic_instance(rng, max_vertices=20)
+        n = inst.graph.vertex_count
+        w = tuple(rng.randint(0, 9) for _ in range(n))
+        perm = list(range(n))
+        rng.shuffle(perm)
+        alpha = weighted_independence_number(inst.graph, w)
+        assert weighted_independence_number(*permuted(inst.graph, w, perm)) == alpha
+        assert brute_force_alpha(inst.graph, w) == alpha
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize(
+        "dim, values, n_rays, n_bases, alpha",
+        [
+            (3, (1, 2, 4), 73, 44, 42),
+            (3, (1, 2, 3), 97, 50, 48),
+            (5, (1,), 105, 136, 112),
+        ],
+    )
+    def test_integer_families_match_networkx(self, dim, values, n_rays, n_bases, alpha, seed):
+        inst = prune_unbased(build_instance(make_integer_family(dim, values)))
+        assert (inst.graph.vertex_count, inst.n_bases) == (n_rays, n_bases)
+        perm = list(range(n_rays))
+        random.Random(seed).shuffle(perm)
+        g, w = permuted(inst.graph, compute_weights(inst), perm)
+        assert weighted_independence_number(g, w) == networkx_alpha(g, w) == alpha
 
     def test_counting_bound_on_instances(self):
         # Every basis is a clique, so an independent set meets each basis at
