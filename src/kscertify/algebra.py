@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 DEFAULT_TOLERANCE = 1e-9
 
 
+@cache
 def is_square_free(m: int) -> bool:
     if m < 1:
         return False
@@ -224,18 +225,15 @@ def canonicalize_ray(v: RayVector) -> RayVector:
     Colinear inputs with a rational scale factor map to identical outputs.
     """
     if v.exact:
-        parts = []
-        for c in v.coords:
-            parts.append(abs(c.rat_part))
-            parts.append(abs(c.irr_part))
-        g = reduce(math.gcd, parts, 0)
-        coords = tuple(
-            QuadScalar(c.rat_part // g, c.irr_part // g, c.disc) for c in v.coords
+        g = reduce(math.gcd, (p for c in v.coords for p in (c.rat_part, c.irr_part)), 0)
+        if _lex_negative(next(c for c in v.coords if not c.is_zero())):
+            g = -g
+        if g == 1:
+            # Already canonical, as every ray of an emitted file is.
+            return v
+        return RayVector(
+            tuple(QuadScalar(c.rat_part // g, c.irr_part // g, c.disc) for c in v.coords)
         )
-        first = next(c for c in coords if not c.is_zero())
-        if _lex_negative(first):
-            coords = tuple(-c for c in coords)
-        return RayVector(coords)
     norm = _euclidean_norm(v)
     if abs(norm - 1.0) <= 1e-12:
         # Already unit length: renormalizing would perturb the last bits,

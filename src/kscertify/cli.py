@@ -21,6 +21,7 @@ the ``KS_CERTIFY_SEED`` environment variable, or 0, in that order.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -409,7 +410,10 @@ def _cmd_catalog(args: argparse.Namespace, out: TextIO) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later commands
+    (each ``parse_args`` call fills a fresh namespace)."""
     parser = argparse.ArgumentParser(
         prog="kscertify",
         description="Certify Kochen-Specker ray sets and synthesize their inequalities.",
@@ -460,9 +464,8 @@ def run_command(argv: Sequence[str], out: TextIO | None = None) -> int:
     """Run one subcommand; return the exit status without exiting."""
     if out is None:
         out = sys.stdout
-    parser = _build_parser()
     try:
-        args = parser.parse_args(list(argv))
+        args = _build_parser().parse_args(list(argv))
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

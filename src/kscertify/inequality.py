@@ -15,8 +15,8 @@ certifies the ray set as an original KS set.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -262,38 +262,11 @@ def quantum_value(
     return float(np.dot(weights, expectations))
 
 
-class _QuadFraction:
-    """Rational quadratic field element p + q*sqrt(m) used for the exact
-    operator-sum accumulation (ray norms rarely divide the outer products)."""
-
-    __slots__ = ("p", "q", "m")
-
-    def __init__(self, p: Fraction, q: Fraction, m: int) -> None:
-        self.p, self.q, self.m = p, q, m
-
-    def add(self, other: _QuadFraction) -> _QuadFraction:
-        return _QuadFraction(self.p + other.p, self.q + other.q, self.m)
-
-    def mul(self, other: _QuadFraction) -> _QuadFraction:
-        return _QuadFraction(
-            self.p * other.p + self.m * self.q * other.q,
-            self.p * other.q + self.q * other.p,
-            self.m,
-        )
-
-    def inverse(self) -> _QuadFraction:
-        norm = self.p * self.p - self.m * self.q * self.q
-        return _QuadFraction(self.p / norm, -self.q / norm, self.m)
-
-    def equals(self, p: int, q: int) -> bool:
-        return self.p == p and self.q == q
-
-
 def operator_sum_check(instance: ProblemInstance, weights: WeightVector) -> bool:
     """Verify sum_i w_i |u_i><u_i| / <u_i|u_i> = N * identity.
 
-    Exact ray sets are checked with exact field arithmetic; numeric ray sets
-    to an absolute tolerance of 1e-12.
+    Exact ray sets are checked in integer arithmetic; numeric ray sets to an
+    absolute tolerance of 1e-12.
     """
     rayset = instance.rayset
     if rayset is None:
@@ -301,32 +274,39 @@ def operator_sum_check(instance: ProblemInstance, weights: WeightVector) -> bool
     _validate_weights(weights, len(rayset.rays))
     d = rayset.dimension
     n_bases = instance.n_bases
-    if rayset.mode.is_exact:
-        m = rayset.mode.disc or 1
-        zero = _QuadFraction(Fraction(0), Fraction(0), m)
-        entries = [[zero for _ in range(d)] for _ in range(d)]
-        for w, ray in zip(weights, rayset.rays):
-            if w == 0:
-                continue
-            coords = [
-                _QuadFraction(Fraction(c.rat_part), Fraction(c.irr_part), m)
-                for c in ray.coords
-            ]
-            norm = zero
-            for c in coords:
-                norm = norm.add(c.mul(c))
-            scale = norm.inverse()
-            w_f = _QuadFraction(Fraction(w), Fraction(0), m)
-            for j in range(d):
-                for k in range(j, d):
-                    term = coords[j].mul(coords[k]).mul(scale).mul(w_f)
-                    entries[j][k] = entries[j][k].add(term)
-        for j in range(d):
-            for k in range(j, d):
-                target = (n_bases, 0) if j == k else (0, 0)
-                if not entries[j][k].equals(*target):
-                    return False
-        return True
-    rows = _unit_ray_matrix(instance)
-    total = (rows.T * np.asarray(weights)) @ rows
-    return bool(np.max(np.abs(total - n_bases * np.eye(d))) <= 1e-12)
+    if not rayset.mode.is_exact:
+        rows = _unit_ray_matrix(instance)
+        total = (rows.T * np.asarray(weights)) @ rows
+        return bool(np.max(np.abs(total - n_bases * np.eye(d))) <= 1e-12)
+    m = rayset.mode.disc
+    pairs = [(j, k) for j in range(d) for k in range(j, d)]
+    # A ray u = a + b*sqrt(m) has <u|u> = P + Q*sqrt(m), whose inverse is
+    # (P - Q*sqrt(m)) / D with D = P^2 - m*Q^2 > 0 (the product of <u|u>
+    # and its conjugate, both sums of real squares).  So entry (j, k) of
+    # w*u*u^T/<u|u> is an integer pair over D; the pairs are summed per D.
+    sums: dict[int, list[list[int]]] = {}
+    for w, ray in zip(weights, rayset.rays):
+        if w == 0:
+            continue
+        a = [c.rat_part for c in ray.coords]
+        b = [c.irr_part for c in ray.coords]
+        p = sum(x * x + m * y * y for x, y in zip(a, b))
+        q = 2 * sum(x * y for x, y in zip(a, b))
+        den = p * p - m * q * q
+        g = math.gcd(p, q, den)
+        wp, wq, den = w * p // g, w * q // g, den // g
+        entries = sums.setdefault(den, [[0, 0] for _ in pairs])
+        for entry, (j, k) in zip(entries, pairs):
+            x = a[j] * a[k] + m * b[j] * b[k]
+            y = a[j] * b[k] + b[j] * a[k]
+            entry[0] += x * wp - m * y * wq
+            entry[1] += y * wp - x * wq
+    lcm = math.lcm(*sums)
+    for i, (j, k) in enumerate(pairs):
+        rational = irrational = 0
+        for den, entries in sums.items():
+            rational += lcm // den * entries[i][0]
+            irrational += lcm // den * entries[i][1]
+        if rational != (n_bases * lcm if j == k else 0) or irrational != 0:
+            return False
+    return True

@@ -56,20 +56,39 @@ def make_peres33() -> RaySet:
     return validate_rayset(rays, name="peres-33", mode=ScalarMode.exact(2))
 
 
+def make_quadratic_family(
+    dim: int, values: tuple[tuple[int, int], ...], disc: int
+) -> RaySet:
+    """The family qM_D{0, +-values} over Z[sqrt(disc)]: every nonzero vector
+    of dimension ``dim`` with components in {0} and +-values, one per class
+    of vectors colinear over Q(sqrt(disc)), sorted.
+
+    A value (a, b) means a + b*sqrt(disc).  Each class is represented by the
+    vector times the conjugate of its first nonzero component (which makes
+    that component rational), divided by the gcd of all parts and signed so
+    that component is positive.
+    """
+    components = sorted({(0, 0)} | {(s * a, s * b) for a, b in values for s in (1, -1)})
+    keys = set()
+    for vec in itertools.product(components, repeat=dim):
+        if not any(a or b for a, b in vec):
+            continue
+        a0, b0 = next((a, b) for a, b in vec if a or b)
+        scaled = [(a * a0 - disc * b * b0, b * a0 - a * b0) for a, b in vec]
+        g = math.gcd(*(x for pair in scaled for x in pair))
+        if next(a for a, b in scaled if a or b) < 0:
+            g = -g
+        keys.add(tuple((a // g, b // g) for a, b in scaled))
+    rays = [exact_ray(list(key), disc=disc) for key in sorted(keys)]
+    name = f"int{dim}" if disc == 1 else f"q{disc}_{dim}"
+    return validate_rayset(rays, name=name, mode=ScalarMode.exact(disc))
+
+
 def make_integer_family(dim: int, values: tuple[int, ...]) -> RaySet:
     """The family intD{0, +-values}: every nonzero integer vector of dimension
     ``dim`` with components in {0} and +-values, one per ray (divided by the
     gcd of its components, first nonzero component positive), sorted."""
-    components = sorted({0} | {s * x for x in values for s in (1, -1)})
-    keys = set()
-    for vec in itertools.product(components, repeat=dim):
-        if not any(vec):
-            continue
-        g = math.gcd(*vec)
-        sign = 1 if next(x for x in vec if x) > 0 else -1
-        keys.add(tuple(sign * x // g for x in vec))
-    rays = [exact_ray(list(key), disc=1) for key in sorted(keys)]
-    return validate_rayset(rays, name=f"int{dim}", mode=ScalarMode.integer())
+    return make_quadratic_family(dim, tuple((v, 0) for v in values), disc=1)
 
 
 @pytest.fixture(scope="session")

@@ -1,17 +1,19 @@
-"""Independent independence-number oracles that the library is checked against.
+"""Independent oracles that the library is checked against.
 
-All read only ``graph.edges``, never the solver's own neighbour masks, and
-share no code with ``kscertify.inequality``.
+The independence-number oracles read only ``graph.edges``, never the
+solver's own neighbour masks; the operator-sum oracle reads only the ray
+coordinates.  None shares code with ``kscertify.inequality``.
 """
 
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from kscertify.rayset import CompatibilityGraph
+from kscertify.rayset import CompatibilityGraph, ProblemInstance
 
 
 def _check_weights(graph: CompatibilityGraph, weights) -> None:
@@ -89,3 +91,40 @@ def networkx_alpha(graph: CompatibilityGraph, weights) -> int:
     )
     _, weight = nx.max_weight_clique(complement, weight="weight")
     return int(weight)
+
+
+def fraction_operator_sum(instance: ProblemInstance, weights) -> bool:
+    """Exact sum_i w_i |u_i><u_i| / <u_i|u_i> == N * identity over Q(sqrt(m)).
+
+    Each field element is a pair (p, q) of Fractions meaning p + q*sqrt(m),
+    and every term is added entry by entry; slow, but it shares nothing with
+    the library's integer accumulation.
+    """
+    rayset = instance.rayset
+    m = rayset.mode.disc
+
+    def mul(x, y):
+        return (x[0] * y[0] + m * x[1] * y[1], x[0] * y[1] + x[1] * y[0])
+
+    def inverse(x):
+        norm = x[0] * x[0] - m * x[1] * x[1]
+        return (x[0] / norm, -x[1] / norm)
+
+    d = rayset.dimension
+    zero = (Fraction(0), Fraction(0))
+    entries = [[zero] * d for _ in range(d)]
+    for w, ray in zip(weights, rayset.rays):
+        u = [(Fraction(c.rat_part), Fraction(c.irr_part)) for c in ray.coords]
+        norm = zero
+        for c in u:
+            square = mul(c, c)
+            norm = (norm[0] + square[0], norm[1] + square[1])
+        scale = mul(inverse(norm), (Fraction(w), Fraction(0)))
+        for j in range(d):
+            for k in range(d):
+                term = mul(mul(u[j], u[k]), scale)
+                entries[j][k] = (entries[j][k][0] + term[0], entries[j][k][1] + term[1])
+    n = instance.n_bases
+    return all(
+        entries[j][k] == ((n if j == k else 0), 0) for j in range(d) for k in range(d)
+    )

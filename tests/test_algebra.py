@@ -172,7 +172,7 @@ class TestCanonicalize:
 
     def test_fixed_point(self):
         v = exact_ray([1, 0, 0], disc=2)
-        assert canonicalize_ray(v) == v
+        assert canonicalize_ray(v) is v
 
     def test_lexicographic_sign_rule(self):
         # First nonzero coordinate (-1, 2) is lexicographically negative,
@@ -194,7 +194,12 @@ class TestCanonicalize:
                     break
             v = exact_ray(coords, disc=m)
             c1 = canonicalize_ray(v)
-            assert canonicalize_ray(c1) == c1
+            g = math.gcd(*(p for c in coords for p in c))
+            reference = [(a // g, b // g) for a, b in coords]
+            if next(c for c in reference if c != (0, 0)) < (0, 0):
+                reference = [(-a, -b) for a, b in reference]
+            assert c1 == exact_ray(reference, disc=m)
+            assert canonicalize_ray(c1) is c1
 
     def test_rational_scale_invariance_randomized(self):
         rng = random.Random(515)

@@ -328,6 +328,21 @@ def test_evaluate_seed_env_fallback(peres_file, monkeypatch):
     assert "seed 0" in default.splitlines()
 
 
+def test_flags_do_not_leak_between_commands(peres_file, monkeypatch):
+    # The parser is built once per process; each command must still see
+    # only its own flags.
+    monkeypatch.delenv("KS_CERTIFY_SEED", raising=False)
+    random_state = ["evaluate", peres_file, "--state", "random", "--trials", "1"]
+    _, seeded = run(random_state + ["--seed", "5"])
+    _, default = run(random_state)
+    assert "seed 5" in seeded.splitlines()
+    assert "seed 0" in default.splitlines()
+    _, extended = run(["verify", peres_file, "--mode", "extended"])
+    _, original = run(["verify", peres_file])
+    assert "mode extended" in extended.splitlines()
+    assert "mode original" in original.splitlines()
+
+
 def test_evaluate_same_seed_same_output(peres_file):
     first = run(["evaluate", peres_file, "--state", "random", "--trials", "3", "--seed", "11"])
     second = run(["evaluate", peres_file, "--state", "random", "--trials", "3", "--seed", "11"])

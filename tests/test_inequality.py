@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import sys
@@ -11,8 +12,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import kscertify.inequality
-from conftest import make_integer_family, make_single_basis_instance, make_synthetic_instance
+from conftest import (
+    make_integer_family,
+    make_quadratic_family,
+    make_single_basis_instance,
+    make_synthetic_instance,
+)
 from kscertify.algebra import exact_ray
+from kscertify.catalog import load_rayset
 from kscertify.coloring import DefinitionMode, check_colorable
 from kscertify.inequality import (
     Inequality,
@@ -33,7 +40,12 @@ from kscertify.rayset import (
     validate_rayset,
 )
 
-from oracles import brute_force_alpha, networkx_alpha, weight_sum_alpha
+from oracles import (
+    brute_force_alpha,
+    fraction_operator_sum,
+    networkx_alpha,
+    weight_sum_alpha,
+)
 
 
 def graph(n: int, edges) -> CompatibilityGraph:
@@ -381,3 +393,94 @@ class TestOperatorSum:
             validate_rayset(rays, name="axes", mode=ScalarMode.numeric(1e-9))
         )
         assert operator_sum_check(inst, compute_weights(inst))
+
+
+@functools.cache
+def _opsum_family(name: str):
+    if name == "int3{0,1,2,4}":
+        return make_integer_family(3, (1, 2, 4))
+    if name == "q2_3{0,1,r2,1+r2}":
+        return make_quadratic_family(3, ((1, 0), (0, 1), (1, 1)), disc=2)
+    return load_rayset(name)
+
+
+def _opsum_instance(name: str, seed: int | None) -> ProblemInstance:
+    """The pruned family, or a pruned seeded 70-90 % subset of it."""
+    rayset = _opsum_family(name)
+    if seed is not None:
+        rng = random.Random(seed)
+        rays = list(rayset.rays)
+        rng.shuffle(rays)
+        keep = rays[: int(len(rays) * rng.uniform(0.7, 0.9))]
+        rayset = validate_rayset(keep, name=rayset.name, mode=rayset.mode)
+    return prune_unbased(build_instance(rayset))
+
+
+class TestOperatorSumAgainstOracle:
+    """The integer accumulation against Fraction pairs over Q(sqrt(m)),
+    whose norms include irrational ones such as 3 + 2*sqrt(2)."""
+
+    @pytest.mark.parametrize(
+        "name, seed",
+        [("peres-33", None), ("conway-kochen-31", None), ("ceg-18", None)]
+        + [(family, seed) for family in ("int3{0,1,2,4}", "q2_3{0,1,r2,1+r2}")
+           for seed in (None, 1, 2)],
+    )
+    def test_basis_counts_pass_and_wrong_weights_fail(self, name, seed):
+        inst = _opsum_instance(name, seed)
+        assert inst.n_bases >= 1
+        w = compute_weights(inst)
+        rng = random.Random(f"{name}/{seed}")
+        v = rng.randrange(len(w))
+        cases = [(inst, w, True), (inst, tuple(2 * x for x in w), False)]
+        for delta in (1, -1):
+            changed = list(w)
+            changed[v] += delta
+            cases.append((inst, tuple(changed), False))
+        dropped = ProblemInstance(rayset=inst.rayset, graph=inst.graph, bases=inst.bases[:-1])
+        cases.append((dropped, w, False))
+        for instance, weights, expected in cases:
+            assert fraction_operator_sum(instance, weights) is expected
+            assert operator_sum_check(instance, weights) is expected
+
+    def test_weight_moved_to_conjugate_ray_fails(self):
+        # Conjugation sqrt(2) -> -sqrt(2) keeps orthogonality, so B and its
+        # conjugate are both bases.  A projector and its conjugate share
+        # their rational parts, so moving weight from a ray to its conjugate
+        # leaves only the sqrt(2) parts of the sum wrong.
+        basis = [[(1, 1), (1, 0), (1, 0)], [(1, 0), (-1, -1), (0, 0)], [(1, 1), (1, 0), (-4, -2)]]
+        conjugate = [[(a, -b) for a, b in ray] for ray in basis]
+        rays = [exact_ray(ray, disc=2) for ray in basis + conjugate]
+        inst = build_instance(validate_rayset(rays, name="conj", mode=ScalarMode.exact(2)))
+        assert inst.n_bases == 2
+        for weights, expected in (((1,) * 6, True), ((2, 1, 1, 0, 1, 1), False)):
+            assert fraction_operator_sum(inst, weights) is expected
+            assert operator_sum_check(inst, weights) is expected
+
+    def test_weight_moved_to_mirror_ray_fails(self):
+        # (1, 1, 0) and (1, -1, 0) have equal diagonal projector entries,
+        # so only the off-diagonal entries of the sum go wrong.
+        rays = [exact_ray(ray, disc=1) for ray in ([1, 1, 0], [1, -1, 0], [0, 0, 1])]
+        inst = build_instance(validate_rayset(rays, name="mirror", mode=ScalarMode.integer()))
+        for weights, expected in (((1, 1, 1), True), ((2, 0, 1), False)):
+            assert fraction_operator_sum(inst, weights) is expected
+            assert operator_sum_check(inst, weights) is expected
+
+    def test_parts_beyond_32_bits(self):
+        # (a + c*sqrt(2), b, 0) and (-b, a + c*sqrt(2), 0) are orthogonal
+        # for any a, b, c; the norm a^2 + 2c^2 + b^2 + 2ac*sqrt(2) is
+        # irrational and every product overflows int64.
+        a, b, c = 2**40 + 1, 2**33 + 7, 3**25
+        rays = [
+            exact_ray([(a, c), (b, 0), (0, 0)], disc=2),
+            exact_ray([(-b, 0), (a, c), (0, 0)], disc=2),
+            exact_ray([0, 0, 1], disc=2),
+        ]
+        rayset = validate_rayset(rays, name="big", mode=ScalarMode.exact(2))
+        assert max(abs(x.rat_part) for r in rayset.rays for x in r.coords) > 2**32
+        inst = build_instance(rayset)
+        assert inst.n_bases == 1
+        assert fraction_operator_sum(inst, (1, 1, 1))
+        assert operator_sum_check(inst, (1, 1, 1))
+        assert not fraction_operator_sum(inst, (1, 2, 1))
+        assert not operator_sum_check(inst, (1, 2, 1))
