@@ -10,11 +10,15 @@ drops condition (I) and keeps only (II) on complete bases.  A ray set is a
 KS set for a definition when no such coloring exists.  Since ORIGINAL adds
 constraints on top of EXTENDED, every extended KS set is an original KS set.
 
-The search is a deterministic backtracker: branch on the lowest-index
-unassigned vertex, value 1 before 0, with unit propagation of three rules:
-a 1 zeroes its basis mates (and, under ORIGINAL, all graph neighbors); a
-basis with all but one vertex at 0 forces the last to 1; an all-zero basis
-is a conflict.
+A coloring in either mode is an exact cover: a set of rays (those assigned
+1) that meets every basis exactly once.  The mode only changes which rays a
+chosen ray rules out: under EXTENDED, every ray sharing a basis with it;
+under ORIGINAL, every ray orthogonal to it, which includes its basis mates.
+The search is Knuth's Algorithm X on bitmasks with an explicit stack: it
+branches on the open basis with the fewest live rays (lowest index on a
+tie) and tries those rays in ascending index; a node is one ray tried.  A
+state (live rays, open bases) whose branches all failed is remembered and
+cut when another set of choices reaches it.  Rays in no basis get 0.
 """
 
 from __future__ import annotations
@@ -59,109 +63,75 @@ def verify_assignment(
     return True
 
 
+def _exact_cover(instance: ProblemInstance, mode: DefinitionMode) -> tuple[int | None, int]:
+    """Search for a set of rays hitting every basis once; return its bitmask
+    (None when there is none) and the number of rays tried."""
+    bases = instance.bases
+    members = [sum(1 << v for v in basis) for basis in bases]
+    bases_of = [0] * instance.graph.vertex_count
+    for b, basis in enumerate(bases):
+        for v in basis:
+            bases_of[v] |= 1 << b
+    # kill[v]: the rays that choosing v rules out, v included.
+    if mode is DefinitionMode.ORIGINAL:
+        kill = [mask | 1 << v for v, mask in enumerate(instance.graph.neighbors)]
+    else:
+        kill = [0] * len(bases_of)
+        for b, basis in enumerate(bases):
+            for v in basis:
+                kill[v] |= members[b]
+
+    live, open_, chosen, nodes = (1 << len(bases_of)) - 1, (1 << len(bases)) - 1, 0, 0
+    # Each frame holds the state before a ray of the branching basis was
+    # chosen and the rays of that basis not yet tried; a frame popped with
+    # none left is a refuted state.
+    frames: list[tuple[int, int, int, int]] = []
+    refuted: set[tuple[int, int]] = set()
+    while open_:
+        untried = 0
+        if (live, open_) not in refuted:
+            fewest, rest = len(bases_of) + 1, open_
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                candidates = members[low.bit_length() - 1] & live
+                count = candidates.bit_count()
+                if count < fewest:
+                    fewest, untried = count, candidates
+                    if not count:
+                        break
+        while not untried:
+            if not frames:
+                return None, nodes
+            live, open_, chosen, untried = frames.pop()
+            if not untried:
+                refuted.add((live, open_))
+        low = untried & -untried
+        v = low.bit_length() - 1
+        nodes += 1
+        frames.append((live, open_, chosen, untried ^ low))
+        live &= ~kill[v]
+        open_ &= ~bases_of[v]
+        chosen |= low
+    return chosen, nodes
+
+
 def check_colorable(instance: ProblemInstance, mode: DefinitionMode) -> ColoringResult:
     """Decide colorability and return a witness when one exists.
 
     Raises ValueError when the instance has no complete basis, because
     condition (II) would be vacuous.  Deterministic: verdict, witness, and
-    node count depend only on the instance and mode.
+    node count depend only on the instance and mode.  The witness is
+    re-checked with verify_assignment before it is returned.
     """
-    bases = instance.bases
-    if not bases:
+    if not instance.bases:
         raise ValueError("instance has no complete basis; colorability is vacuous")
-    n = instance.graph.vertex_count
-    neighbors = instance.graph.neighbors
-    original = mode is DefinitionMode.ORIGINAL
-
-    vertex_bases: list[list[int]] = [[] for _ in range(n)]
-    for bi, basis in enumerate(bases):
-        for v in basis:
-            vertex_bases[v].append(bi)
-    basis_size = [len(b) for b in bases]
-
-    values: list[int | None] = [None] * n
-    ones = [0] * len(bases)
-    zeros = [0] * len(bases)
-    trail: list[int] = []
-    nodes = 0
-
-    def assign(root: int, value: int) -> bool:
-        work = [(root, value)]
-        while work:
-            u, x = work.pop()
-            cur = values[u]
-            if cur is not None:
-                if cur != x:
-                    return False
-                continue
-            values[u] = x
-            trail.append(u)
-            # Update every counter before evaluating any rule so that the
-            # trail-based undo (which decrements all of u's bases) stays
-            # symmetric even when a conflict aborts this call.
-            for bi in vertex_bases[u]:
-                if x == 1:
-                    ones[bi] += 1
-                else:
-                    zeros[bi] += 1
-            for bi in vertex_bases[u]:
-                if x == 1:
-                    if ones[bi] > 1:
-                        return False
-                    for w in bases[bi]:
-                        if w != u:
-                            work.append((w, 0))
-                else:
-                    if zeros[bi] == basis_size[bi]:
-                        return False
-                    if zeros[bi] == basis_size[bi] - 1 and ones[bi] == 0:
-                        forced = next(w for w in bases[bi] if values[w] is None)
-                        work.append((forced, 1))
-            if x == 1 and original:
-                rest = neighbors[u]
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    work.append((low.bit_length() - 1, 0))
-        return True
-
-    def undo(mark: int) -> None:
-        while len(trail) > mark:
-            u = trail.pop()
-            x = values[u]
-            values[u] = None
-            for bi in vertex_bases[u]:
-                if x == 1:
-                    ones[bi] -= 1
-                else:
-                    zeros[bi] -= 1
-
-    def first_free(start: int) -> int:
-        return next((i for i in range(start, n) if values[i] is None), -1)
-
-    # Depth-first search with an explicit stack (no recursion-depth ceiling).
-    # Each frame is a branch taken: (vertex, trail mark, value).  The branch
-    # vertex is the lowest unassigned one, tried with 1 before 0; vertices
-    # below it stay assigned in every deeper frame.
-    frames: list[tuple[int, int, int]] = []
-    v, value = first_free(0), 1
-    while v >= 0:
-        nodes += 1
-        mark = len(trail)
-        if assign(v, value):
-            frames.append((v, mark, value))
-            v, value = first_free(v), 1
-            continue
-        undo(mark)
-        while value == 0:
-            if not frames:
-                return ColoringResult(
-                    colorable=False, witness=None, nodes_explored=nodes, mode=mode
-                )
-            v, mark, value = frames.pop()
-            undo(mark)
-        value = 0
-    witness = tuple(values)  # type: ignore[arg-type]
+    chosen, nodes = _exact_cover(instance, mode)
+    if chosen is None:
+        return ColoringResult(colorable=False, witness=None, nodes_explored=nodes, mode=mode)
+    witness = tuple(chosen >> v & 1 for v in range(instance.graph.vertex_count))
+    if not verify_assignment(instance, witness, mode):
+        raise RuntimeError(f"coloring witness breaks the {mode.value} definition")
     return ColoringResult(colorable=True, witness=witness, nodes_explored=nodes, mode=mode)
 
 

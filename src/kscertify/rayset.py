@@ -83,10 +83,13 @@ def _colinearity_key(ray: RayVector) -> tuple[tuple[int, int], ...]:
     conjugate a - b*sqrt(m) of the first nonzero coordinate a + b*sqrt(m)
     turns that coordinate into the nonzero rational a^2 - m*b^2; colinear
     rays then differ by a rational factor, which the gcd and the sign of
-    that coordinate remove.
+    that coordinate remove.  For m = 1 the canonical ray is already that
+    key: its parts have gcd 1 and its first nonzero coordinate is positive.
     """
     m = ray.disc
     parts = [(c.rat_part, c.irr_part) for c in ray.coords]
+    if m == 1:
+        return tuple(parts)
     k = next(i for i, p in enumerate(parts) if p != (0, 0))
     a, b = parts[k]
     scaled = [(x * a - m * y * b, y * a - x * b) for x, y in parts]

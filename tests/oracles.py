@@ -2,7 +2,9 @@
 
 The independence-number oracles read only ``graph.edges``, never the
 solver's own neighbour masks; the operator-sum oracle reads only the ray
-coordinates.  None shares code with ``kscertify.inequality``.
+coordinates.  None shares code with ``kscertify.inequality``.  The
+colorability oracle hands the bases and ``graph.edges`` to HiGHS and shares
+no code with ``kscertify.coloring``.
 """
 
 from __future__ import annotations
@@ -128,3 +130,39 @@ def fraction_operator_sum(instance: ProblemInstance, weights) -> bool:
     return all(
         entries[j][k] == ((n if j == k else 0), 0) for j in range(d) for k in range(d)
     )
+
+
+def milp_colorable(instance: ProblemInstance, mode) -> bool:
+    """Decide colorability as a 0/1 feasibility program solved by HiGHS.
+
+    One equality row per basis (its rays sum to 1) and, under the original
+    definition, one row x_i + x_j <= 1 per orthogonal pair; reads only
+    ``instance.bases`` and ``graph.edges``.  The calling test is skipped
+    when scipy is not installed.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    n = instance.graph.vertex_count
+    rows = [list(basis) for basis in instance.bases]
+    upper = [1] * len(rows)
+    lower = [1] * len(rows)
+    if mode.value == "original":
+        rows += [[i, j] for i, j in instance.graph.edges]
+        upper += [1] * len(instance.graph.edges)
+        lower += [0] * len(instance.graph.edges)
+    matrix = sparse.csr_array(
+        (
+            np.ones(sum(len(row) for row in rows)),
+            (np.repeat(np.arange(len(rows)), [len(row) for row in rows]), np.concatenate(rows)),
+        ),
+        shape=(len(rows), n),
+    )
+    result = optimize.milp(
+        np.zeros(n),
+        constraints=optimize.LinearConstraint(matrix, lower, upper),
+        integrality=np.ones(n),
+        bounds=optimize.Bounds(0, 1),
+    )
+    if result.status not in (0, 2):
+        raise RuntimeError(f"HiGHS stopped without a verdict: {result.message}")
+    return result.status == 0

@@ -1,23 +1,36 @@
-"""Tests for KS colorability: assignment checking and the backtracking search."""
+"""Tests for KS colorability: assignment checking and the exact-cover search."""
 
 from __future__ import annotations
 
 import random
+import time
 
 import pytest
 
+import kscertify.coloring
 from conftest import (
     brute_force_colorable,
+    make_integer_family,
+    make_quadratic_family,
     make_single_basis_instance,
     make_synthetic_instance,
 )
+from kscertify.catalog import catalog_entries, load_rayset
 from kscertify.coloring import (
     DefinitionMode,
     check_colorable,
     is_ks_set,
     verify_assignment,
 )
-from kscertify.rayset import CompatibilityGraph, ProblemInstance
+from kscertify.inequality import compute_weights, weighted_independence_number
+from kscertify.rayset import (
+    CompatibilityGraph,
+    ProblemInstance,
+    build_instance,
+    prune_unbased,
+    validate_rayset,
+)
+from oracles import milp_colorable
 
 ORIGINAL = DefinitionMode.ORIGINAL
 EXTENDED = DefinitionMode.EXTENDED
@@ -126,6 +139,22 @@ class TestCheckColorable:
                 assert is_ks_set(inst, ORIGINAL)
 
 
+class TestWitnessRecheck:
+    @pytest.mark.parametrize(
+        "mode, chosen",
+        [
+            # Rays 0, 3 and 4 cover the basis once, but 3 and 4 are orthogonal.
+            (ORIGINAL, 0b11001),
+            # Rays 0 and 1 cover the basis twice.
+            (EXTENDED, 0b00011),
+        ],
+    )
+    def test_invalid_cover_raises(self, monkeypatch, mode, chosen):
+        monkeypatch.setattr(kscertify.coloring, "_exact_cover", lambda inst, m: (chosen, 1))
+        with pytest.raises(RuntimeError, match=mode.value):
+            check_colorable(lone_edge_instance(), mode)
+
+
 class TestDeepSearch:
     def test_many_disjoint_triangles_need_no_recursion(self):
         # 1200 disjoint bases put 1200 branch frames on the search stack at
@@ -161,3 +190,118 @@ class TestPeres33:
         # The witness must break condition (I) somewhere, otherwise the
         # original search would have found it too.
         assert not verify_assignment(peres33_instance, result.witness, ORIGINAL)
+
+
+# The ladder: whole families intD{S} / q2_D{S} (see conftest) and peres-33.
+# The first three are the families whose extended search used to take from
+# milliseconds to more than 20 s depending on the ray order.
+FAMILIES = {
+    "int4{0,1,2}": lambda: make_integer_family(4, (1, 2)),
+    "int6{0,1}": lambda: make_integer_family(6, (1,)),
+    "q2_4{0,1,r2}": lambda: make_quadratic_family(4, ((1, 0), (0, 1)), disc=2),
+    "int3{0,1,2,4}": lambda: make_integer_family(3, (1, 2, 4)),
+    "int3{0,1,2,3}": lambda: make_integer_family(3, (1, 2, 3)),
+    "int5{0,1}": lambda: make_integer_family(5, (1,)),
+    "int3{0,1,2,3,4}": lambda: make_integer_family(3, (1, 2, 3, 4)),
+    "peres-33": lambda: load_rayset("peres-33"),
+}
+ORDER_SENSITIVE = ("int4{0,1,2}", "int6{0,1}", "q2_4{0,1,r2}")
+SEARCH_SECONDS = 2.0
+
+
+@pytest.fixture(scope="module")
+def families():
+    return {name: make() for name, make in FAMILIES.items()}
+
+
+def reordered_instance(rayset, shuffle_seed) -> ProblemInstance:
+    """The instance of a ray set in its own order (seed None) or shuffled."""
+    rays = list(rayset.rays)
+    if shuffle_seed is not None:
+        random.Random(shuffle_seed).shuffle(rays)
+    return build_instance(validate_rayset(rays, name=rayset.name, mode=rayset.mode))
+
+
+def random_subset(rayset, seed: int) -> ProblemInstance:
+    """A seeded subset of 70-95 % of the rays, pruned to its bases."""
+    rng = random.Random(seed)
+    rays = rng.sample(rayset.rays, round(rng.uniform(0.70, 0.95) * len(rayset.rays)))
+    return prune_unbased(build_instance(validate_rayset(rays, name=rayset.name, mode=rayset.mode)))
+
+
+class TestOrderRobustness:
+    @pytest.mark.parametrize("mode", [ORIGINAL, EXTENDED], ids=lambda m: m.value)
+    @pytest.mark.parametrize("shuffle_seed", [None, 1, 2, 3])
+    @pytest.mark.parametrize("name", ORDER_SENSITIVE)
+    def test_ks_within_time_bound(self, families, name, shuffle_seed, mode):
+        inst = reordered_instance(families[name], shuffle_seed)
+        start = time.perf_counter()
+        result = check_colorable(inst, mode)
+        elapsed = time.perf_counter() - start
+        assert not result.colorable
+        assert elapsed < SEARCH_SECONDS, f"{name} {mode.value} took {elapsed:.2f} s"
+
+
+    # Subsets on which the search without its memory of refuted states ran
+    # past 3 s; with it each takes at most 0.2 s.
+    @pytest.mark.parametrize(
+        "name, seed", [("q2_4{0,1,r2}", 5), ("int6{0,1}", 1), ("int6{0,1}", 8), ("int6{0,1}", 11)]
+    )
+    def test_refuted_states_are_not_searched_again(self, families, name, seed):
+        inst = random_subset(families[name], seed)
+        start = time.perf_counter()
+        result = check_colorable(inst, EXTENDED)
+        elapsed = time.perf_counter() - start
+        assert not result.colorable
+        assert elapsed < SEARCH_SECONDS, f"{name} subset {seed} took {elapsed:.2f} s"
+
+
+class TestAgainstMilp:
+    # The HiGHS program needs about 5 s for int6{0,1} under ORIGINAL; that
+    # row is covered by the order-robustness tests instead.
+    @pytest.mark.parametrize(
+        "name, mode",
+        [
+            pytest.param(name, mode, id=f"{name}-{mode.value}")
+            for name in FAMILIES
+            for mode in (ORIGINAL, EXTENDED)
+            if (name, mode) != ("int6{0,1}", ORIGINAL)
+        ],
+    )
+    def test_ladder_rows(self, families, name, mode):
+        inst = prune_unbased(build_instance(families[name]))
+        assert check_colorable(inst, mode).colorable == milp_colorable(inst, mode)
+
+    def test_random_subsets_reach_both_verdicts(self, families):
+        verdicts = {ORIGINAL: set(), EXTENDED: set()}
+        for seed in range(6):
+            inst = random_subset(families["int5{0,1}"], seed)
+            for mode, seen in verdicts.items():
+                colorable = check_colorable(inst, mode).colorable
+                assert colorable == milp_colorable(inst, mode), (seed, mode)
+                seen.add(colorable)
+        assert verdicts == {ORIGINAL: {True, False}, EXTENDED: {True, False}}
+
+
+class TestAlphaIdentity:
+    """An independent set weighs the number of bases it meets, so
+    alpha(G, w) = N exactly when an ORIGINAL coloring exists."""
+
+    @staticmethod
+    def assert_identity(inst: ProblemInstance) -> bool:
+        alpha = weighted_independence_number(inst.graph, compute_weights(inst))
+        colorable = check_colorable(inst, ORIGINAL).colorable
+        assert (alpha == inst.n_bases) == colorable
+        return colorable
+
+    @pytest.mark.parametrize("entry_id", [e.id for e in catalog_entries()])
+    def test_catalog(self, entry_id):
+        assert not self.assert_identity(build_instance(load_rayset(entry_id)))
+
+    @pytest.mark.parametrize("name", ["int3{0,1,2,4}", "int3{0,1,2,3}", "int5{0,1}"])
+    def test_integer_families(self, families, name):
+        assert not self.assert_identity(prune_unbased(build_instance(families[name])))
+
+    def test_random_subsets_reach_both_verdicts(self, families):
+        subsets = (random_subset(families["int5{0,1}"], seed) for seed in range(6))
+        assert {self.assert_identity(inst) for inst in subsets} == {True, False}
