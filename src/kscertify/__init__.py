@@ -21,14 +21,6 @@ from .algebra import (
     numeric_ray,
 )
 from .catalog import CatalogEntry, catalog_entries, get_entry, load_rayset, load_text
-from .cli import (
-    ParseError,
-    emit_inequality,
-    emit_rayset,
-    parse_inequality,
-    parse_rayset,
-    run_command,
-)
 from .coloring import (
     ColoringResult,
     DefinitionMode,
@@ -58,6 +50,7 @@ from .rayset import (
     covered_vertices,
     enumerate_bases,
     prune_unbased,
+    symmetries,
     validate_rayset,
 )
 
@@ -105,9 +98,32 @@ __all__ = [
     "prune_unbased",
     "quantum_value",
     "run_command",
+    "symmetries",
     "validate_rayset",
     "verify_assignment",
     "weighted_independence_number",
 ]
 
 __version__ = "0.1.0"
+
+# The CLI module is loaded on first use (PEP 562), so that
+# ``python -m kscertify.cli`` does not find it already imported.
+_CLI_NAMES = (
+    "ParseError",
+    "emit_inequality",
+    "emit_rayset",
+    "parse_inequality",
+    "parse_rayset",
+    "run_command",
+)
+
+
+def __getattr__(name: str):
+    if name not in _CLI_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import cli
+
+    # Bind every CLI name at once, so that each later lookup is a plain
+    # module attribute holding the object the CLI module held at this point.
+    globals().update({n: getattr(cli, n) for n in _CLI_NAMES})
+    return globals()[name]

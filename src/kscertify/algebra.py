@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, reduce
+from functools import cache
 
 DEFAULT_TOLERANCE = 1e-9
 
@@ -211,10 +211,6 @@ def is_orthogonal(u: RayVector, v: RayVector, tol: float = DEFAULT_TOLERANCE) ->
     return abs(ip) <= tol * _euclidean_norm(u) * _euclidean_norm(v)
 
 
-def _lex_negative(c: QuadScalar) -> bool:
-    return (c.rat_part, c.irr_part) < (0, 0)
-
-
 def canonicalize_ray(v: RayVector) -> RayVector:
     """Scale-invariant canonical form of a projective ray.
 
@@ -225,8 +221,11 @@ def canonicalize_ray(v: RayVector) -> RayVector:
     Colinear inputs with a rational scale factor map to identical outputs.
     """
     if v.exact:
-        g = reduce(math.gcd, (p for c in v.coords for p in (c.rat_part, c.irr_part)), 0)
-        if _lex_negative(next(c for c in v.coords if not c.is_zero())):
+        parts = [p for c in v.coords for p in (c.rat_part, c.irr_part)]
+        g = math.gcd(*parts)
+        # The first nonzero part is that of the first nonzero coordinate:
+        # its rational part, or its irrational part when that is zero.
+        if next(p for p in parts if p) < 0:
             g = -g
         if g == 1:
             # Already canonical, as every ray of an emitted file is.

@@ -22,12 +22,13 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import os
 import re
 import sys
 from typing import Sequence, TextIO
 
-from .algebra import RayVector, exact_ray, numeric_ray
+from .algebra import QuadScalar, RayVector, numeric_ray
 from .catalog import catalog_entries, get_entry, load_text
 from .coloring import DefinitionMode, check_colorable
 from .inequality import (
@@ -72,12 +73,50 @@ def _significant_lines(text: str) -> list[tuple[int, str]]:
 
 
 def _parse_exact_component(token: str, number: int) -> tuple[int, int]:
+    # str.isdecimal accepts exactly the characters that \d matches.
+    if (token[1:] if token[0] in "+-" else token).isdecimal():
+        return int(token), 0
     match = _EXACT_COMPONENT.match(token)
     if match is None:
         raise ParseError(number, f"bad component {token!r}; expected 'a' or 'a:b'")
     rat = int(match.group(1))
     irr = int(match.group(2)) if match.group(2) is not None else 0
     return rat, irr
+
+
+class _Scalars(dict):
+    """The coordinates of one parse, each distinct (rat, irr) pair built once
+    as a QuadScalar (whose constructor checks the discriminant)."""
+
+    def __init__(self, disc: int) -> None:
+        super().__init__()
+        self.disc = disc
+
+    def __missing__(self, pair: tuple[int, int]) -> QuadScalar:
+        scalar = self[pair] = QuadScalar(pair[0], pair[1], self.disc)
+        return scalar
+
+
+def _parse_exact_ray(tokens: list[str], number: int, scalars: _Scalars) -> RayVector:
+    """One exact ray, put in canonical form on its integer pairs.
+
+    The same ray as ``canonicalize_ray(exact_ray(pairs, disc))``: under
+    ``scalar int`` an ``a:b`` component is folded to a + b first, then the
+    pairs are divided by their gcd, signed so that the first nonzero pair is
+    positive.
+    """
+    parts = [_parse_exact_component(tok, number) for tok in tokens]
+    if scalars.disc == 1:
+        parts = [(a + b, 0) for a, b in parts]
+    scalars[0, 0]  # the first ray of a parse checks the discriminant here
+    g = math.gcd(*(v for pair in parts for v in pair))
+    if g == 0:
+        raise ParseError(number, "zero vector is not a ray")
+    if next(pair for pair in parts if pair != (0, 0)) < (0, 0):
+        g = -g
+    if g != 1:
+        parts = [(a // g, b // g) for a, b in parts]
+    return RayVector(tuple(map(scalars.__getitem__, parts)))
 
 
 def parse_rayset(text: str) -> RaySet:
@@ -100,6 +139,7 @@ def parse_rayset(text: str) -> RaySet:
     mode: ScalarMode | None = None
     rays: list[RayVector] = []
     ray_lines: list[int] = []
+    scalars: _Scalars | None = None
 
     for number, content in lines[1:]:
         tokens = content.split()
@@ -140,6 +180,7 @@ def parse_rayset(text: str) -> RaySet:
                     number,
                     "'scalar' directive must be 'int', 'quad <m>' or 'numeric <tol>'",
                 )
+            scalars = _Scalars(mode.disc) if mode.is_exact else None
         elif keyword == "ray":
             if dimension is None:
                 raise ParseError(number, "'ray' line before 'dim' directive")
@@ -153,10 +194,7 @@ def parse_rayset(text: str) -> RaySet:
                 )
             try:
                 if mode.is_exact:
-                    parts = [
-                        _parse_exact_component(tok, number) for tok in components
-                    ]
-                    ray = exact_ray(parts, disc=mode.disc)
+                    ray = _parse_exact_ray(components, number, scalars)
                 else:
                     ray = numeric_ray([float(tok) for tok in components])
             except ParseError:

@@ -17,10 +17,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .rayset import CompatibilityGraph, ProblemInstance, covered_vertices
+from .rayset import CompatibilityGraph, ProblemInstance, covered_vertices, symmetries
 
 WeightVector = tuple[int, ...]
 
@@ -52,17 +53,29 @@ def _validate_weights(weights: WeightVector, n: int) -> None:
 
 
 def _max_weight_independent_set(
-    graph: CompatibilityGraph, weights: WeightVector
+    graph: CompatibilityGraph,
+    weights: WeightVector,
+    symmetries: Sequence[Sequence[int]] = (),
 ) -> tuple[int, list[int]]:
-    """Exact branch and bound: alpha(G, w) and the vertices of a set reaching it.
+    """Exact orbital branch and bound: alpha(G, w) and the vertices of a set
+    reaching it.
 
     Vertices are renumbered once by (-w, index), so the lowest set bit of any
-    candidate mask is its heaviest candidate.  The search branches on that
-    vertex, including it before excluding it, from an explicit stack (no
-    recursion-depth ceiling).  A node is pruned when a greedy clique cover of
-    its candidates, each clique counted at its heaviest member, cannot add
-    more than the incumbent already has: an independent set takes at most
-    one vertex per clique, so the returned value is exact.
+    candidate mask is its heaviest candidate v.  Each node carries a group of
+    automorphisms (the given group to begin with) that fixes every vertex it
+    has taken and maps its candidates onto themselves, and branches on v
+    (Ostrowski, Linderoth, Rossi and Smriglio 2011, *Orbital branching*):
+    either v is taken, and the child keeps the elements that fix v, or v's
+    whole orbit is dropped, and the child keeps the group.  Dropping the
+    orbit loses nothing: a set of the node that takes u = g(v) has an image
+    under g^-1, a set of the node of the same weight, that takes v.  With
+    the trivial group the orbit is {v}.  The nodes come from an explicit
+    stack (no recursion-depth ceiling).  A node is pruned when a greedy clique
+    cover of its candidates, each clique counted at its heaviest member,
+    cannot add more than the incumbent already has: an independent set takes
+    at most one vertex per clique, so the returned value is exact.
+    ``symmetries`` must be a group of automorphisms of (graph, weights);
+    ``weighted_independence_number`` checks that before calling.
     """
     n = graph.vertex_count
     _validate_weights(weights, n)
@@ -75,6 +88,10 @@ def _max_weight_independent_set(
     for i, j in graph.edges:
         adj[rank[i]] |= 1 << rank[j]
         adj[rank[j]] |= 1 << rank[i]
+    # The group in the new numbering, without the identity.
+    identity = tuple(range(n))
+    renumbered = (tuple(map(rank.__getitem__, map(g.__getitem__, order))) for g in symmetries)
+    group = tuple(g for g in dict.fromkeys(renumbered) if g != identity)
 
     # Greedy independent set, heaviest first: the initial incumbent.
     best = best_set = 0
@@ -86,10 +103,10 @@ def _max_weight_independent_set(
         best_set |= low
         free &= ~low & ~adj[v]
 
-    # Each frame: (candidates, weight taken, vertices taken).
-    stack = [((1 << n) - 1, 0, 0)]
+    # Each frame: (candidates, weight taken, vertices taken, group).
+    stack = [((1 << n) - 1, 0, 0, group)]
     while stack:
-        cand, current, taken = stack.pop()
+        cand, current, taken, group = stack.pop()
         if current > best:
             best, best_set = current, taken
         # Sequential clique cover of the candidates, stopped as soon as it
@@ -113,19 +130,76 @@ def _max_weight_independent_set(
             continue
         low = cand & -cand
         v = low.bit_length() - 1
-        stack.append((cand ^ low, current, taken))
-        stack.append((cand & ~low & ~adj[v], current + w[v], taken | low))
+        orbit = low
+        for g in group:
+            orbit |= 1 << g[v]
+        stack.append((cand & ~orbit, current, taken, group))
+        stabilizer = tuple(g for g in group if g[v] == v) if group else group
+        stack.append((cand & ~low & ~adj[v], current + w[v], taken | low, stabilizer))
     return best, [order[r] for r in range(n) if best_set >> r & 1]
 
 
-def weighted_independence_number(graph: CompatibilityGraph, weights: WeightVector) -> int:
+def _check_group(
+    graph: CompatibilityGraph, weights: WeightVector, symmetries: Sequence[Sequence[int]]
+) -> None:
+    """Raise ValueError unless the permutations form a group of automorphisms.
+
+    Each must permute the vertices, keep every weight and map every edge to
+    an edge (so, the graph being finite, onto the edge set), and the set,
+    with the identity, must be closed under composition.  Otherwise dropping
+    an orbit could drop every optimal set, giving too low an alpha that no
+    witness check sees.
+    """
+    n = graph.vertex_count
+    for k, g in enumerate(symmetries):
+        if len(g) != n:
+            raise ValueError(f"symmetry {k} has length {len(g)}, not {n}")
+    identity = tuple(range(n))
+    moving = [k for k, g in enumerate(symmetries) if tuple(g) != identity]
+    if not moving:
+        return
+    perms = np.array([symmetries[k] for k in moving], dtype=np.int64)
+    w = np.array(weights)
+    edges = np.array(list(graph.edges), dtype=np.int64).reshape(-1, 2)
+    adjacency = np.zeros((n, n), dtype=bool)
+    adjacency[edges[:, 0], edges[:, 1]] = adjacency[edges[:, 1], edges[:, 0]] = True
+    for problem, bad in (
+        ("is not a permutation of the vertices", lambda: np.sort(perms, axis=1) != np.arange(n)),
+        ("changes a weight", lambda: w[perms] != w),
+        ("maps an edge to a non-edge",
+         lambda: ~adjacency[perms[:, edges[:, 0]], perms[:, edges[:, 1]]]),
+    ):
+        failed = np.flatnonzero(bad().any(axis=1))
+        if len(failed):
+            raise ValueError(f"symmetry {moving[failed[0]]} {problem}")
+
+    def rows(a: np.ndarray) -> list[bytes]:
+        return a.view(f"V{n * a.itemsize}").ravel().tolist()
+
+    # g[perms] holds g composed with every element.
+    members = set(rows(perms)) | {np.arange(n, dtype=np.int64).tobytes()}
+    for g in perms:
+        if not members.issuperset(rows(g[perms])):
+            raise ValueError("symmetries are not closed under composition")
+
+
+def weighted_independence_number(
+    graph: CompatibilityGraph,
+    weights: WeightVector,
+    symmetries: Sequence[Sequence[int]] = (),
+) -> int:
     """Exact maximum total weight of an independent set.
 
-    The optimal set the search found is re-checked against the graph, for
-    independence and for its weight, before the value is returned; a failed
-    check raises RuntimeError.
+    ``symmetries`` is a group of vertex permutations that keep the weights
+    and the edges, such as ``rayset.symmetries`` gives; it only makes the
+    search faster, and it is checked first (ValueError when it is not such a
+    group).  The optimal set the search found is re-checked against the
+    graph, for independence and for its weight, before the value is
+    returned; a failed check raises RuntimeError.
     """
-    alpha, members = _max_weight_independent_set(graph, weights)
+    _validate_weights(weights, graph.vertex_count)
+    _check_group(graph, weights, symmetries)
+    alpha, members = _max_weight_independent_set(graph, weights, symmetries)
     mask = sum(1 << v for v in members)
     for v in members:
         if graph.neighbors[v] & mask:
@@ -187,7 +261,8 @@ def build_inequality(instance: ProblemInstance) -> Inequality:
     """Synthesize the inequality of a pruned instance (see pruned_weights)."""
     weights = pruned_weights(instance)
     ew = edge_weights(weights, instance.graph)
-    alpha = weighted_independence_number(instance.graph, weights)
+    group = () if instance.rayset is None else symmetries(instance.rayset)
+    alpha = weighted_independence_number(instance.graph, weights, group)
     return Inequality(
         vertex_weights=weights,
         edge_terms=tuple((i, j, w) for (i, j), w in sorted(ew.items())),

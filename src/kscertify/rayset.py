@@ -11,9 +11,10 @@ certification verdict.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -93,7 +94,7 @@ def _colinearity_key(ray: RayVector) -> tuple[tuple[int, int], ...]:
     k = next(i for i, p in enumerate(parts) if p != (0, 0))
     a, b = parts[k]
     scaled = [(x * a - m * y * b, y * a - x * b) for x, y in parts]
-    g = reduce(math.gcd, (abs(v) for p in scaled for v in p))
+    g = math.gcd(*(v for p in scaled for v in p))
     if scaled[k][0] < 0:
         g = -g
     return tuple((x // g, y // g) for x, y in scaled)
@@ -111,17 +112,18 @@ def validate_rayset(rays: Sequence[RayVector], name: str, mode: ScalarMode) -> R
     dimension = rays[0].dimension
     if dimension < 3:
         raise ValueError(f"dimension {dimension} is below 3")
+    exact = mode.is_exact
     for i, ray in enumerate(rays):
         if ray.dimension != dimension:
             raise ValueError(f"ray {i} has dimension {ray.dimension}, expected {dimension}")
-        if ray.exact != mode.is_exact:
+        if ray.exact != exact:
             raise ValueError(f"ray {i} does not match scalar mode {mode.kind}")
-        if mode.is_exact and ray.disc != mode.disc:
+        if exact and ray.disc != mode.disc:
             raise ValueError(
                 f"ray {i} has discriminant {ray.disc}, expected {mode.disc}"
             )
     canonical = tuple(canonicalize_ray(r) for r in rays)
-    if mode.is_exact:
+    if exact:
         seen: dict[tuple, int] = {}
         for i, ray in enumerate(canonical):
             key = _colinearity_key(ray)
@@ -247,6 +249,72 @@ def enumerate_bases(rayset: RaySet, graph: CompatibilityGraph) -> tuple[Basis, .
 
     everything = (1 << graph.vertex_count) - 1
     extend([], everything, everything)
+    return tuple(found)
+
+
+def _colinearity_rows(rat: np.ndarray, irr: np.ndarray, m: int) -> np.ndarray:
+    """``_colinearity_key`` of every ray along the last axis, one void row each.
+
+    The same arithmetic as the scalar key, on int64 arrays of rational and
+    irrational parts: equal rows mean colinear rays over Q(sqrt(m)).
+    """
+    first = ((rat != 0) | (irr != 0)).argmax(axis=-1)[..., None]
+    a = np.take_along_axis(rat, first, -1)
+    b = np.take_along_axis(irr, first, -1)
+    x = rat * a - m * irr * b
+    key = np.concatenate([x, irr * a - rat * b], axis=-1)
+    g = np.gcd.reduce(key, axis=-1, keepdims=True)
+    key //= np.where(np.take_along_axis(x, first, -1) < 0, -g, g)
+    return key.view(f"V{key.shape[-1] * key.itemsize}")[..., 0]
+
+
+def symmetries(rayset: RaySet) -> tuple[tuple[int, ...], ...]:
+    """The vertex permutations induced by the signed coordinate permutations
+    that map an exact ray set onto itself, the identity first.
+
+    A signed coordinate permutation is orthogonal, so each one maps bases to
+    bases and keeps the orthogonality graph and the basis-count weights.
+    The image of every ray is looked up by its colinearity key; an element
+    that sends some ray outside the set is dropped, most of them after the
+    first few rays.  u and -u are the same ray, so the first sign is fixed:
+    2^(d-1) d! elements are tried, and the permutations they induce form a
+    group.  Numeric sets, d >= 5 (1920 elements in d = 5 cost more to try
+    than they save) and parts too large for int64 keys get the trivial
+    group, which is always correct.
+    """
+    n = len(rayset.rays)
+    identity = tuple(range(n))
+    d = rayset.dimension
+    if not rayset.mode.is_exact or d > 4:
+        return (identity,)
+    m = rayset.mode.disc
+    rat = [[c.rat_part for c in ray.coords] for ray in rayset.rays]
+    irr = [[c.irr_part for c in ray.coords] for ray in rayset.rays]
+    if max(abs(v) for row in rat + irr for v in row) ** 2 * (1 + m) >= 2**62:
+        return (identity,)
+    rat = np.array(rat, dtype=np.int64)
+    irr = np.array(irr, dtype=np.int64)
+    index = {key: i for i, key in enumerate(_colinearity_rows(rat, irr, m).tolist())}
+    elements = [
+        ((1, *signs), perm)
+        for perm in itertools.permutations(range(d))
+        for signs in itertools.product((1, -1), repeat=d - 1)
+    ]
+
+    def image_keys(rays: slice, elements: list) -> list[list[bytes]]:
+        """Per element, the keys of the images of the rays."""
+        signs, perms = (np.array(column) for column in zip(*elements))
+        keys = _colinearity_rows(rat[rays][:, perms] * signs, irr[rays][:, perms] * signs, m)
+        return keys.T.tolist()
+
+    # Try every element on the first rays, then the survivors on all of them.
+    head = image_keys(slice(8), elements)
+    elements = [e for e, keys in zip(elements, head) if all(map(index.__contains__, keys))]
+    found = dict.fromkeys([identity])
+    for keys in image_keys(slice(None), elements):
+        image = tuple(map(index.get, keys))
+        if None not in image:
+            found[image] = None
     return tuple(found)
 
 

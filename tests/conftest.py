@@ -91,6 +91,26 @@ def make_integer_family(dim: int, values: tuple[int, ...]) -> RaySet:
     return make_quadratic_family(dim, tuple((v, 0) for v in values), disc=1)
 
 
+def transformed(rayset: RaySet, rng: random.Random, keep: float | None = None) -> RaySet:
+    """The ray set after a seeded signed coordinate permutation, ray order
+    and ray signs, validated again; with ``keep``, only that share of its
+    rays (at least d), taken in the new order."""
+    d = rayset.dimension
+    perm = list(range(d))
+    rng.shuffle(perm)
+    flips = [rng.choice((1, -1)) for _ in range(d)]
+    order = list(range(len(rayset.rays)))
+    rng.shuffle(order)
+    if keep is not None:
+        order = order[: max(d, round(keep * len(order)))]
+    rays = []
+    for i in order:
+        sign = rng.choice((1, -1))
+        coords = rayset.rays[i].coords
+        rays.append(RayVector(tuple(sign * flips[k] * coords[perm[k]] for k in range(d))))
+    return validate_rayset(rays, name=rayset.name, mode=rayset.mode)
+
+
 @pytest.fixture(scope="session")
 def peres33() -> RaySet:
     return make_peres33()

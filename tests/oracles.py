@@ -95,6 +95,39 @@ def networkx_alpha(graph: CompatibilityGraph, weights) -> int:
     return int(weight)
 
 
+def signed_permutation_group(rayset) -> set[tuple[int, ...]]:
+    """Every vertex permutation induced by a signed coordinate permutation
+    that maps an exact ray set onto itself.
+
+    Each ray is identified by itself divided by its first nonzero
+    coordinate, computed in Q(sqrt(m)) with Fractions; all 2^d d! signed
+    permutations are tried on every ray.
+    """
+    m = rayset.mode.disc
+    d = rayset.dimension
+
+    def key(vector):
+        c, e = next(x for x in vector if x != (0, 0))
+        norm = c * c - m * e * e
+        return tuple(
+            (Fraction(a * c - m * b * e, norm), Fraction(b * c - a * e, norm))
+            for a, b in vector
+        )
+
+    vectors = [[(x.rat_part, x.irr_part) for x in ray.coords] for ray in rayset.rays]
+    index = {key(v): i for i, v in enumerate(vectors)}
+    group = set()
+    for perm in itertools.permutations(range(d)):
+        for signs in itertools.product((1, -1), repeat=d):
+            image = [
+                index.get(key([(s * v[k][0], s * v[k][1]) for s, k in zip(signs, perm)]))
+                for v in vectors
+            ]
+            if None not in image:
+                group.add(tuple(image))
+    return group
+
+
 def fraction_operator_sum(instance: ProblemInstance, weights) -> bool:
     """Exact sum_i w_i |u_i><u_i| / <u_i|u_i> == N * identity over Q(sqrt(m)).
 

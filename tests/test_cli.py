@@ -23,7 +23,8 @@ from kscertify.cli import (
 )
 from kscertify.coloring import DefinitionMode, verify_assignment
 from kscertify.inequality import build_inequality
-from kscertify.rayset import build_instance
+from kscertify.algebra import exact_ray
+from kscertify.rayset import DuplicateRayError, ScalarMode, build_instance, validate_rayset
 
 MINIMAL = """\
 ksset 1
@@ -101,6 +102,90 @@ def test_parse_irrational_duplicate_names_line():
         parse_rayset(text)
 
 
+def _exact_file(rng: random.Random, disc: int) -> tuple[str, list[tuple[int, list]]]:
+    """Seeded ray-set text over Z[sqrt(disc)] and the (line, pairs) of each
+    ray: '+' signs, common factors, negative first coordinates, 'a:b' under
+    'scalar int' (meaning a + b), and now and then a colinear copy."""
+    d = rng.choice((3, 4))
+    scalar = "scalar int" if disc == 1 else f"scalar quad {disc}"
+    lines = ["ksset 1", "name diff", f"dim {d}", scalar]
+    rays: list[tuple[int, list]] = []
+    copy_at = rng.randrange(1, 12) if rng.random() < 0.3 else None
+    for k in range(rng.randint(3, 12)):
+        if rays and k == copy_at:
+            a0, b0 = rng.choice(((2, 0), (-1, 0), (-3, 0), (0, 1), (1, 1)))
+            pairs = [(a * a0 + disc * b * b0, b * a0 + a * b0) for a, b in rng.choice(rays)[1]]
+        else:
+            factor = rng.choice((1, 1, 2, -1, -6))
+            pairs = [(factor * rng.randint(-3, 3), factor * rng.randint(-2, 2)) for _ in range(d)]
+            folded = [a + b for a, b in pairs] if disc == 1 else [p for p in pairs if p != (0, 0)]
+            if not any(folded):
+                pairs[0] = (factor, 0)
+        tokens = []
+        for a, b in pairs:
+            plus = "+" if rng.random() < 0.3 else ""
+            token = f"{a}:{plus if b >= 0 else ''}{b}" if b or rng.random() < 0.2 else str(a)
+            tokens.append(plus + token if a >= 0 else token)
+        lines.append("ray " + " ".join(tokens))
+        rays.append((len(lines), pairs))
+    return "\n".join(lines) + "\n", rays
+
+
+@pytest.mark.parametrize("seed", range(45))
+def test_exact_parse_matches_the_validated_rays(seed):
+    """The one-pass parse gives validate_rayset([exact_ray(...)]) exactly,
+    or the same duplicate error on the line of the second copy."""
+    rng = random.Random(seed)
+    disc = (1, 2, 3)[seed % 3]
+    text, rays = _exact_file(rng, disc)
+    try:
+        expected = validate_rayset(
+            [exact_ray(pairs, disc=disc) for _, pairs in rays],
+            name="diff",
+            mode=ScalarMode.exact(disc),
+        )
+    except DuplicateRayError as exc:
+        line = rays[exc.index_b][0]
+        with pytest.raises(ParseError) as info:
+            parse_rayset(text)
+        assert (info.value.line_number, str(info.value)) == (line, f"line {line}: {exc}")
+        return
+    assert parse_rayset(text) == expected
+
+
+@pytest.mark.parametrize(
+    "scalar, ray, message",
+    [
+        ("int", "1 + 0", "bad component '+'; expected 'a' or 'a:b'"),
+        ("int", "1 0 -", "bad component '-'; expected 'a' or 'a:b'"),
+        ("int", "1 0 --1", "bad component '--1'; expected 'a' or 'a:b'"),
+        ("int", "1 0 1.5", "bad component '1.5'; expected 'a' or 'a:b'"),
+        ("int", "1 0 1:", "bad component '1:'; expected 'a' or 'a:b'"),
+        ("int", "1 0 :1", "bad component ':1'; expected 'a' or 'a:b'"),
+        ("int", "1 0 \u00bd", "bad component '\u00bd'; expected 'a' or 'a:b'"),
+        ("int", "1 0 1_0", "bad component '1_0'; expected 'a' or 'a:b'"),
+        ("int", "0 -0 +0", "zero vector is not a ray"),
+        ("int", "1:-1 0 0", "zero vector is not a ray"),
+        ("quad 2", "0:0 0 -0:+0", "zero vector is not a ray"),
+        ("quad 4", "1 0 0", "discriminant 4 is not a positive square-free integer"),
+        ("quad 4", "1 0 x", "bad component 'x'; expected 'a' or 'a:b'"),
+        ("quad 0", "0 0 0", "discriminant 0 is not a positive square-free integer"),
+        ("int", "1 0", "expected 3 components, got 2"),
+    ],
+)
+def test_malformed_ray_names_its_line(scalar, ray, message):
+    text = f"ksset 1\nname t\ndim 3\nscalar {scalar}\nray {ray}\nray 0 1 0\n"
+    with pytest.raises(ParseError) as info:
+        parse_rayset(text)
+    assert (info.value.line_number, str(info.value)) == (5, f"line 5: {message}")
+
+
+def test_unicode_decimal_digits_are_digits():
+    # str.isdecimal and the regex's \d accept the same digits.
+    text = "ksset 1\nname t\ndim 3\nscalar quad 2\nray {} 0 0\nray 0 1 0\n"
+    assert parse_rayset(text.format("+\u0663:-\u0661")) == parse_rayset(text.format("3:-1"))
+
+
 def test_parse_numeric_duplicate_names_line():
     # Rays 0 and 3 and rays 1 and 2 are colinear; the scan meets (1, 2) first.
     text = (
@@ -140,6 +225,8 @@ def test_python_dash_m_runs_the_cli(module, tmp_path):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "line 4: numeric tolerance" in proc.stderr
+    # The package does not import its CLI module, so runpy finds it unloaded.
+    assert "RuntimeWarning" not in proc.stderr
 
 
 @pytest.mark.parametrize("tol", ["0", "1e-09"])

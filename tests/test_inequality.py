@@ -6,6 +6,7 @@ import functools
 import itertools
 import random
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from conftest import (
     make_quadratic_family,
     make_single_basis_instance,
     make_synthetic_instance,
+    transformed,
 )
 from kscertify.algebra import exact_ray
 from kscertify.catalog import load_rayset
@@ -37,6 +39,7 @@ from kscertify.rayset import (
     ScalarMode,
     build_instance,
     prune_unbased,
+    symmetries,
     validate_rayset,
 )
 
@@ -181,7 +184,7 @@ class TestIndependenceNumber:
     def test_bad_witness_raises(self, monkeypatch, witness, message):
         # The single basis is a triangle of weight-1 vertices.
         monkeypatch.setattr(
-            kscertify.inequality, "_max_weight_independent_set", lambda g, w: witness
+            kscertify.inequality, "_max_weight_independent_set", lambda g, w, group: witness
         )
         with pytest.raises(RuntimeError, match=message):
             build_inequality(make_single_basis_instance())
@@ -233,6 +236,52 @@ class TestIndependenceNumber:
             inst = make_synthetic_instance(rng)
             w = compute_weights(inst)
             assert weighted_independence_number(inst.graph, w) <= inst.n_bases
+
+
+_ALPHA_SETS = {
+    "int3{0,+-1,+-2,+-4}": (lambda: make_integer_family(3, (1, 2, 4)), 42),
+    "int3{0,+-1,+-2,+-3}": (lambda: make_integer_family(3, (1, 2, 3)), 48),
+    "q2_3{0,+-1,+-r2}": (lambda: make_quadratic_family(3, ((1, 0), (0, 1)), 2), 15),
+    "peres-33": (lambda: load_rayset("peres-33"), 15),
+    "conway-kochen-31": (lambda: load_rayset("conway-kochen-31"), 16),
+    "ceg-18": (lambda: load_rayset("ceg-18"), 8),
+}
+
+
+class TestOrbitalAlpha:
+    """Alpha with the ray set's symmetry group against the plain search."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("name", list(_ALPHA_SETS))
+    def test_invariant_under_reordering_and_signed_permutations(self, name, seed):
+        make, alpha = _ALPHA_SETS[name]
+        rayset = transformed(make(), random.Random(seed))
+        inst = prune_unbased(build_instance(rayset))
+        w = compute_weights(inst)
+        assert build_inequality(inst).classical_bound == alpha
+        assert weighted_independence_number(inst.graph, w) == alpha
+        assert networkx_alpha(inst.graph, w) == alpha
+
+    def test_int4_pinned(self):
+        inst = build_instance(make_integer_family(4, (1, 2)))
+        assert (inst.graph.vertex_count, inst.n_bases) == (272, 380)
+        assert build_inequality(inst).classical_bound == 313
+
+    @pytest.mark.slow
+    def test_int4_matches_the_trivial_group(self):
+        inst = build_instance(make_integer_family(4, (1, 2)))
+        w = compute_weights(inst)
+        assert weighted_independence_number(inst.graph, w) == 313
+        assert weighted_independence_number(inst.graph, w, symmetries(inst.rayset)) == 313
+
+    @pytest.mark.slow
+    def test_int3_up_to_4(self):
+        # The open wall of the ladder: 205 rays after pruning, 110 bases.
+        inst = prune_unbased(build_instance(make_integer_family(3, (1, 2, 3, 4))))
+        start = time.perf_counter()
+        alpha = build_inequality(inst).classical_bound
+        print(f"int3{{0,±1..±4}}: alpha {alpha} in {time.perf_counter() - start:.1f} s")
+        assert (alpha, inst.n_bases) == (103, 110)
 
 
 class TestBuildInequality:

@@ -9,7 +9,10 @@ import random
 import numpy as np
 import pytest
 
+from conftest import make_integer_family, make_quadratic_family, transformed
 from kscertify.algebra import exact_ray, is_orthogonal, numeric_ray
+from kscertify.catalog import catalog_entries, load_rayset
+from kscertify.inequality import compute_weights, weighted_independence_number
 from kscertify.rayset import (
     CompatibilityGraph,
     DuplicateRayError,
@@ -22,8 +25,10 @@ from kscertify.rayset import (
     covered_vertices,
     enumerate_bases,
     prune_unbased,
+    symmetries,
     validate_rayset,
 )
+from oracles import signed_permutation_group
 
 E2 = ScalarMode.exact(2)
 
@@ -384,3 +389,117 @@ class TestPrune:
             inst = make_synthetic_instance(rng)
             once = prune_unbased(inst)
             assert prune_unbased(once) == once
+
+
+def assert_automorphisms(instance: ProblemInstance, group) -> None:
+    """Each element maps edges to edges, bases to bases and keeps weights."""
+    n = instance.graph.vertex_count
+    edges = instance.graph.edges
+    weights = compute_weights(instance)
+    for g in group:
+        assert sorted(g) == list(range(n))
+        assert {tuple(sorted((g[i], g[j]))) for i, j in edges} == edges
+        images = sorted(tuple(sorted(g[v] for v in basis)) for basis in instance.bases)
+        assert images == list(instance.bases)
+        assert tuple(weights[g[v]] for v in range(n)) == weights
+
+
+def assert_group(group) -> None:
+    """Distinct permutations, the identity first, closed under composition."""
+    members = set(group)
+    assert len(members) == len(group)
+    assert group[0] == tuple(range(len(group[0])))
+    for g in group:
+        for h in group:
+            assert tuple(g[v] for v in h) in members
+
+
+class TestSymmetries:
+    @pytest.mark.parametrize(
+        "dim, values, disc, order",
+        [
+            (3, ((1, 0), (2, 0)), 1, 24),
+            (3, ((1, 0), (2, 0), (4, 0)), 1, 24),
+            (3, ((1, 0), (0, 1)), 2, 24),
+            (3, ((1, 0), (0, 1)), 3, 24),
+            (4, ((1, 0),), 1, 192),
+            (4, ((1, 0), (2, 0)), 1, 192),
+        ],
+    )
+    def test_whole_families(self, dim, values, disc, order):
+        rayset = make_quadratic_family(dim, values, disc)
+        group = symmetries(rayset)
+        assert len(group) == order
+        assert_group(group)
+        assert_automorphisms(build_instance(rayset), group)
+        if len(rayset.rays) <= 60:
+            assert set(group) == signed_permutation_group(rayset)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_transformed_family_keeps_its_group(self, seed):
+        rayset = transformed(make_integer_family(3, (1, 2)), random.Random(seed))
+        group = symmetries(rayset)
+        assert len(group) == 24
+        assert set(group) == signed_permutation_group(rayset)
+        assert_automorphisms(build_instance(rayset), group)
+
+    @pytest.mark.parametrize("entry", [e.id for e in catalog_entries()])
+    def test_catalog_sets_match_the_oracle(self, entry):
+        rayset = load_rayset(entry)
+        group = symmetries(rayset)
+        assert_group(group)
+        assert set(group) == signed_permutation_group(rayset)
+        assert_automorphisms(build_instance(rayset), group)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_subsets_match_the_oracle(self, seed):
+        # 70-99 % of a family keeps only part of the group, often none of it.
+        rng = random.Random(seed)
+        family = (make_integer_family(3, (1, 2)), make_quadratic_family(3, ((1, 0), (0, 1)), 2))
+        rayset = transformed(family[seed % 2], rng, keep=rng.uniform(0.7, 0.99))
+        group = symmetries(rayset)
+        assert_group(group)
+        assert set(group) == signed_permutation_group(rayset)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_symmetry_breaking_subsets_get_the_trivial_group(self, seed):
+        rng = random.Random(seed)
+        family = make_integer_family(3, (1, 2, 4 if seed % 2 else 3))
+        rayset = transformed(family, rng, keep=rng.uniform(0.7, 0.9))
+        assert symmetries(rayset) == (tuple(range(len(rayset.rays))),)
+
+    def test_numeric_and_high_dimension_sets_get_the_trivial_group(self):
+        family = make_integer_family(3, (1, 2))
+        numeric = validate_rayset(
+            [numeric_ray(ray.to_floats()) for ray in family.rays],
+            name="numeric",
+            mode=ScalarMode.numeric(),
+        )
+        assert symmetries(numeric) == (tuple(range(49)),)
+        assert symmetries(make_integer_family(5, (1,))) == (tuple(range(121)),)
+
+    @pytest.mark.parametrize(
+        "group, message",
+        [
+            ([(0, 1, 2)], "length 3, not 4"),
+            ([(0, 1, 2, 2)], "symmetry 0 is not a permutation"),
+            ([(0, 1, 2, 3), (1, 0, 2, 3)], "symmetry 1 changes a weight"),
+            ([(3, 1, 2, 0)], "symmetry 0 maps an edge to a non-edge"),
+        ],
+    )
+    def test_non_automorphisms_are_rejected(self, group, message):
+        # The path 0-1-2-3 with weights 1, 2, 2, 1: its one automorphism
+        # besides the identity is the reversal (3, 2, 1, 0).
+        graph = CompatibilityGraph(4, frozenset({(0, 1), (1, 2), (2, 3)}))
+        weights = (1, 2, 2, 1)
+        assert weighted_independence_number(graph, weights, [(0, 1, 2, 3), (3, 2, 1, 0)]) == 3
+        with pytest.raises(ValueError, match=message):
+            weighted_independence_number(graph, weights, group)
+
+    def test_a_set_that_is_not_a_group_is_rejected(self):
+        # Rotations of a triangle: one of them without its square is no group.
+        graph = CompatibilityGraph(3, frozenset({(0, 1), (0, 2), (1, 2)}))
+        rotations = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+        assert weighted_independence_number(graph, (1, 1, 1), rotations) == 1
+        with pytest.raises(ValueError, match="not closed under composition"):
+            weighted_independence_number(graph, (1, 1, 1), rotations[:2])
