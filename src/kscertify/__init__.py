@@ -14,10 +14,8 @@ from .algebra import (
     RayVector,
     canonicalize_ray,
     exact_ray,
-    inner_product,
     is_orthogonal,
     is_square_free,
-    norm_squared,
     numeric_ray,
 )
 from .catalog import CatalogEntry, catalog_entries, get_entry, load_rayset, load_text
@@ -84,13 +82,11 @@ __all__ = [
     "enumerate_bases",
     "exact_ray",
     "get_entry",
-    "inner_product",
     "is_ks_set",
     "is_orthogonal",
     "is_square_free",
     "load_rayset",
     "load_text",
-    "norm_squared",
     "numeric_ray",
     "operator_sum_check",
     "parse_inequality",

@@ -1,10 +1,11 @@
-"""Exact arithmetic for rays with coordinates in a real quadratic integer ring.
+"""Exact rays with coordinates in a real quadratic integer ring.
 
 Scalars are elements a + b*sqrt(m) with integer a, b and a fixed positive
 square-free discriminant m shared by every coordinate of a ray set.  With
-m = 1 the ring degenerates to the plain integers.  A numeric fallback with
-float coordinates and a relative tolerance is available for ray sets that
-have no exact representation.
+m = 1 the ring degenerates to the plain integers.  A scalar is a checked
+value with no operators: every exact computation works on the integer parts
+(a, b) directly.  A numeric fallback with float coordinates and a relative
+tolerance is available for ray sets that have no exact representation.
 """
 
 from __future__ import annotations
@@ -44,53 +45,6 @@ class QuadScalar:
             # plain-integer scalars in the form (a, 0, 1).
             object.__setattr__(self, "rat_part", self.rat_part + self.irr_part)
             object.__setattr__(self, "irr_part", 0)
-
-    @classmethod
-    def from_int(cls, value: int, disc: int) -> QuadScalar:
-        return cls(value, 0, disc)
-
-    def _coerce(self, other: int | QuadScalar) -> QuadScalar | None:
-        if isinstance(other, QuadScalar):
-            if other.disc != self.disc:
-                raise ValueError(
-                    f"mismatched discriminants {self.disc} and {other.disc}"
-                )
-            return other
-        if isinstance(other, int):
-            return QuadScalar(other, 0, self.disc)
-        return None
-
-    def __add__(self, other: int | QuadScalar) -> QuadScalar:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return QuadScalar(self.rat_part + rhs.rat_part, self.irr_part + rhs.irr_part, self.disc)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: int | QuadScalar) -> QuadScalar:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return QuadScalar(self.rat_part - rhs.rat_part, self.irr_part - rhs.irr_part, self.disc)
-
-    def __rsub__(self, other: int | QuadScalar) -> QuadScalar:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        return rhs - self
-
-    def __neg__(self) -> QuadScalar:
-        return QuadScalar(-self.rat_part, -self.irr_part, self.disc)
-
-    def __mul__(self, other: int | QuadScalar) -> QuadScalar:
-        rhs = self._coerce(other)
-        if rhs is None:
-            return NotImplemented
-        a, b, c, e = self.rat_part, self.irr_part, rhs.rat_part, rhs.irr_part
-        return QuadScalar(a * c + self.disc * b * e, a * e + b * c, self.disc)
-
-    __rmul__ = __mul__
 
     def is_zero(self) -> bool:
         # m square-free makes sqrt(m) irrational (or equal to 1 with m = 1,
@@ -179,21 +133,6 @@ def _check_compatible(u: RayVector, v: RayVector) -> None:
         raise ValueError(f"mismatched discriminants {u.disc} and {v.disc}")
 
 
-def inner_product(u: RayVector, v: RayVector) -> QuadScalar | float:
-    """Euclidean inner product; exact rays give a QuadScalar, numeric a float."""
-    _check_compatible(u, v)
-    if u.exact:
-        total = QuadScalar(0, 0, u.disc)  # type: ignore[arg-type]
-        for a, b in zip(u.coords, v.coords):
-            total = total + a * b  # type: ignore[operator]
-        return total
-    return math.fsum(a * b for a, b in zip(u.coords, v.coords))
-
-
-def norm_squared(v: RayVector) -> QuadScalar | float:
-    return inner_product(v, v)
-
-
 def _euclidean_norm(v: RayVector) -> float:
     return math.sqrt(math.fsum(x * x for x in v.to_floats()))
 
@@ -205,28 +144,44 @@ def is_orthogonal(u: RayVector, v: RayVector, tol: float = DEFAULT_TOLERANCE) ->
     Decides one pair; ``rayset.build_graph`` decides every pair of a ray set
     at once by the same rule.
     """
-    ip = inner_product(u, v)
+    _check_compatible(u, v)
     if u.exact:
-        return ip.is_zero()  # type: ignore[union-attr]
+        # (a + b sqrt(m))(c + e sqrt(m)) = (ac + m be) + (ae + bc) sqrt(m).
+        m = u.disc
+        rat = irr = 0
+        for x, y in zip(u.coords, v.coords):
+            rat += x.rat_part * y.rat_part + m * x.irr_part * y.irr_part
+            irr += x.rat_part * y.irr_part + x.irr_part * y.rat_part
+        return rat == 0 and irr == 0
+    ip = math.fsum(a * b for a, b in zip(u.coords, v.coords))
     return abs(ip) <= tol * _euclidean_norm(u) * _euclidean_norm(v)
+
+
+def signed_gcd(parts: list[int]) -> int:
+    """The gcd of a ray's flattened (rat, irr) parts, negated when the first
+    nonzero part is negative; 0 for the zero vector.
+
+    Dividing every part by it is the canonical scaling of an exact ray: the
+    parts become coprime and the first nonzero coordinate positive under
+    the (rat, irr) lexicographic order.
+    """
+    g = math.gcd(*parts)
+    for p in parts:
+        if p:
+            return g if p > 0 else -g
+    return g
 
 
 def canonicalize_ray(v: RayVector) -> RayVector:
     """Scale-invariant canonical form of a projective ray.
 
-    Exact rays are reduced by the gcd of all rational and irrational parts
-    and flipped so the first nonzero coordinate is positive under the
-    (rat_part, irr_part) lexicographic ordering.  Numeric rays are scaled to
-    unit Euclidean norm with the first nonzero coordinate positive.
-    Colinear inputs with a rational scale factor map to identical outputs.
+    Exact rays are divided by ``signed_gcd`` of their parts.  Numeric rays
+    are scaled to unit Euclidean norm with the first nonzero coordinate
+    positive.  Colinear inputs with a rational scale factor map to identical
+    outputs.
     """
     if v.exact:
-        parts = [p for c in v.coords for p in (c.rat_part, c.irr_part)]
-        g = math.gcd(*parts)
-        # The first nonzero part is that of the first nonzero coordinate:
-        # its rational part, or its irrational part when that is zero.
-        if next(p for p in parts if p) < 0:
-            g = -g
+        g = signed_gcd([p for c in v.coords for p in (c.rat_part, c.irr_part)])
         if g == 1:
             # Already canonical, as every ray of an emitted file is.
             return v

@@ -22,13 +22,12 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import os
 import re
 import sys
 from typing import Sequence, TextIO
 
-from .algebra import QuadScalar, RayVector, numeric_ray
+from .algebra import QuadScalar, RayVector, numeric_ray, signed_gcd
 from .catalog import catalog_entries, get_entry, load_text
 from .coloring import DefinitionMode, check_colorable
 from .inequality import (
@@ -86,7 +85,7 @@ def _parse_exact_component(token: str, number: int) -> tuple[int, int]:
 
 class _Scalars(dict):
     """The coordinates of one parse, each distinct (rat, irr) pair built once
-    as a QuadScalar (whose constructor checks the discriminant)."""
+    as a QuadScalar."""
 
     def __init__(self, disc: int) -> None:
         super().__init__()
@@ -102,18 +101,14 @@ def _parse_exact_ray(tokens: list[str], number: int, scalars: _Scalars) -> RayVe
 
     The same ray as ``canonicalize_ray(exact_ray(pairs, disc))``: under
     ``scalar int`` an ``a:b`` component is folded to a + b first, then the
-    pairs are divided by their gcd, signed so that the first nonzero pair is
-    positive.
+    pairs are divided by their ``signed_gcd``.
     """
     parts = [_parse_exact_component(tok, number) for tok in tokens]
     if scalars.disc == 1:
         parts = [(a + b, 0) for a, b in parts]
-    scalars[0, 0]  # the first ray of a parse checks the discriminant here
-    g = math.gcd(*(v for pair in parts for v in pair))
+    g = signed_gcd([v for pair in parts for v in pair])
     if g == 0:
         raise ParseError(number, "zero vector is not a ray")
-    if next(pair for pair in parts if pair != (0, 0)) < (0, 0):
-        g = -g
     if g != 1:
         parts = [(a // g, b // g) for a, b in parts]
     return RayVector(tuple(map(scalars.__getitem__, parts)))
@@ -233,16 +228,18 @@ def _format_scalar_mode(mode: ScalarMode) -> str:
     return f"scalar numeric {mode.tol!r}"
 
 
+def _ray_text(rayset: RaySet, index: int) -> str:
+    ray = rayset.rays[index]
+    if rayset.mode.is_exact:
+        return " ".join(_format_exact(c) for c in ray.coords)
+    return " ".join(repr(c) for c in ray.coords)
+
+
 def emit_rayset(rayset: RaySet) -> str:
     """Serialize a RaySet in canonical form; inverse of parse_rayset."""
     lines = [FORMAT_HEADER, f"name {rayset.name}", f"dim {rayset.dimension}"]
     lines.append(_format_scalar_mode(rayset.mode))
-    for ray in rayset.rays:
-        if rayset.mode.is_exact:
-            parts = " ".join(_format_exact(c) for c in ray.coords)
-        else:
-            parts = " ".join(repr(c) for c in ray.coords)
-        lines.append(f"ray {parts}")
+    lines.extend(f"ray {_ray_text(rayset, i)}" for i in range(len(rayset.rays)))
     return "\n".join(lines) + "\n"
 
 
@@ -326,13 +323,6 @@ def _resolve_seed(flag_value: int | None) -> int:
         except ValueError as exc:
             raise ValueError(f"bad {SEED_ENV_VAR} value {env_value!r}") from exc
     return 0
-
-
-def _ray_text(rayset: RaySet, index: int) -> str:
-    ray = rayset.rays[index]
-    if rayset.mode.is_exact:
-        return " ".join(_format_exact(c) for c in ray.coords)
-    return " ".join(repr(c) for c in ray.coords)
 
 
 def _print_instance_summary(instance: ProblemInstance, out: TextIO) -> None:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_TOLERANCE, RayVector, canonicalize_ray
+from .algebra import DEFAULT_TOLERANCE, RayVector, canonicalize_ray, is_square_free, signed_gcd
 
 
 class DuplicateRayError(ValueError):
@@ -37,7 +37,11 @@ class InvalidGeometryError(ValueError):
 
 @dataclass(frozen=True, slots=True)
 class ScalarMode:
-    """Coordinate field of a ray set: exact ring Z[sqrt(disc)] or floats."""
+    """Coordinate field of a ray set: exact ring Z[sqrt(disc)] or floats.
+
+    An exact mode needs a positive square-free ``disc``; a numeric mode
+    without a tolerance gets ``DEFAULT_TOLERANCE``.
+    """
 
     kind: str
     disc: int | None = None
@@ -46,6 +50,11 @@ class ScalarMode:
     def __post_init__(self) -> None:
         if self.kind not in ("exact", "numeric"):
             raise ValueError(f"unknown scalar mode {self.kind!r}")
+        if self.kind == "exact":
+            if not (isinstance(self.disc, int) and is_square_free(self.disc)):
+                raise ValueError(f"discriminant {self.disc} is not a positive square-free integer")
+        elif self.tol is None:
+            object.__setattr__(self, "tol", DEFAULT_TOLERANCE)
         if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"numeric tolerance {self.tol!r} is not a finite number >= 0")
 
@@ -83,9 +92,9 @@ def _colinearity_key(ray: RayVector) -> tuple[tuple[int, int], ...]:
     (sqrt(2), sqrt(2), 0) keep distinct canonical forms.  Multiplying by the
     conjugate a - b*sqrt(m) of the first nonzero coordinate a + b*sqrt(m)
     turns that coordinate into the nonzero rational a^2 - m*b^2; colinear
-    rays then differ by a rational factor, which the gcd and the sign of
-    that coordinate remove.  For m = 1 the canonical ray is already that
-    key: its parts have gcd 1 and its first nonzero coordinate is positive.
+    rays then differ by a rational factor, which ``signed_gcd`` removes.
+    For m = 1 the canonical ray is already that key: its parts have gcd 1
+    and its first nonzero coordinate is positive.
     """
     m = ray.disc
     parts = [(c.rat_part, c.irr_part) for c in ray.coords]
@@ -94,9 +103,7 @@ def _colinearity_key(ray: RayVector) -> tuple[tuple[int, int], ...]:
     k = next(i for i, p in enumerate(parts) if p != (0, 0))
     a, b = parts[k]
     scaled = [(x * a - m * y * b, y * a - x * b) for x, y in parts]
-    g = math.gcd(*(v for p in scaled for v in p))
-    if scaled[k][0] < 0:
-        g = -g
+    g = signed_gcd([v for p in scaled for v in p])
     return tuple((x // g, y // g) for x, y in scaled)
 
 
@@ -174,10 +181,10 @@ class CompatibilityGraph:
         return sorted(self.edges)
 
 
-def _exact_gram(rays: Sequence[RayVector], m: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rational and sqrt(m) parts of every pairwise inner product of exact rays.
+def _exact_parts(rays: Sequence[RayVector], m: int) -> tuple[np.ndarray, np.ndarray]:
+    """The matrices R and I of rational and sqrt(m) coordinate parts of exact rays.
 
-    With R and I the matrices of rational and irrational coordinate parts,
+    The pairwise inner products are
     (R + sqrt(m) I)(R + sqrt(m) I)^T = (R R^T + m I I^T) + sqrt(m) (R I^T + I R^T).
     No entry exceeds d * M^2 * (1 + m) in absolute value, M the largest
     |part|; int64 is used only below 2**63, because NumPy's integer matmul
@@ -187,9 +194,7 @@ def _exact_gram(rays: Sequence[RayVector], m: int) -> tuple[np.ndarray, np.ndarr
     irr = [[c.irr_part for c in ray.coords] for ray in rays]
     largest = max(abs(v) for row in rat + irr for v in row)
     dtype = np.int64 if len(rat[0]) * largest**2 * (1 + m) < 2**63 else object
-    r = np.array(rat, dtype=dtype)
-    i = np.array(irr, dtype=dtype)
-    return r @ r.T + m * (i @ i.T), r @ i.T + i @ r.T
+    return np.array(rat, dtype=dtype), np.array(irr, dtype=dtype)
 
 
 def build_graph(rayset: RaySet) -> CompatibilityGraph:
@@ -202,13 +207,13 @@ def build_graph(rayset: RaySet) -> CompatibilityGraph:
     """
     rays = rayset.rays
     if rayset.mode.is_exact:
-        rational, irrational = _exact_gram(rays, rayset.mode.disc)
-        orthogonal = (rational == 0) & (irrational == 0)
+        m = rayset.mode.disc
+        r, i = _exact_parts(rays, m)
+        orthogonal = (r @ r.T + m * (i @ i.T) == 0) & (r @ i.T + i @ r.T == 0)
     else:
-        tol = rayset.mode.tol if rayset.mode.tol is not None else DEFAULT_TOLERANCE
         x = np.array([ray.coords for ray in rays], dtype=float)
         norms = np.linalg.norm(x, axis=1)
-        orthogonal = np.abs(x @ x.T) <= tol * np.outer(norms, norms)
+        orthogonal = np.abs(x @ x.T) <= rayset.mode.tol * np.outer(norms, norms)
     rows, cols = np.nonzero(np.triu(orthogonal, 1))
     edges = frozenset(zip(rows.tolist(), cols.tolist()))
     return CompatibilityGraph(vertex_count=len(rays), edges=edges)
@@ -288,12 +293,10 @@ def symmetries(rayset: RaySet) -> tuple[tuple[int, ...], ...]:
     if not rayset.mode.is_exact or d > 4:
         return (identity,)
     m = rayset.mode.disc
-    rat = [[c.rat_part for c in ray.coords] for ray in rayset.rays]
-    irr = [[c.irr_part for c in ray.coords] for ray in rayset.rays]
-    if max(abs(v) for row in rat + irr for v in row) ** 2 * (1 + m) >= 2**62:
+    # Under the guard of _exact_parts every key entry fits int64 as well.
+    rat, irr = _exact_parts(rayset.rays, m)
+    if rat.dtype == object:
         return (identity,)
-    rat = np.array(rat, dtype=np.int64)
-    irr = np.array(irr, dtype=np.int64)
     index = {key: i for i, key in enumerate(_colinearity_rows(rat, irr, m).tolist())}
     elements = [
         ((1, *signs), perm)

@@ -106,8 +106,11 @@ def transformed(rayset: RaySet, rng: random.Random, keep: float | None = None) -
     rays = []
     for i in order:
         sign = rng.choice((1, -1))
-        coords = rayset.rays[i].coords
-        rays.append(RayVector(tuple(sign * flips[k] * coords[perm[k]] for k in range(d))))
+        coords = [rayset.rays[i].coords[k] for k in perm]
+        rays.append(RayVector(tuple(
+            QuadScalar(sign * f * c.rat_part, sign * f * c.irr_part, c.disc)
+            for f, c in zip(flips, coords)
+        )))
     return validate_rayset(rays, name=rayset.name, mode=rayset.mode)
 
 

@@ -12,40 +12,13 @@ from kscertify.algebra import (
     RayVector,
     canonicalize_ray,
     exact_ray,
-    inner_product,
     is_orthogonal,
     is_square_free,
-    norm_squared,
     numeric_ray,
 )
 
 
-def q(rat: int, irr: int = 0, disc: int = 2) -> QuadScalar:
-    return QuadScalar(rat, irr, disc)
-
-
 class TestQuadScalar:
-    def test_product_conjugate_pair(self):
-        # (1 + sqrt(2)) * (1 - sqrt(2)) = 1 - 2 = -1
-        assert q(1, 1) * q(1, -1) == q(-1, 0)
-
-    def test_product_disc_five(self):
-        # Hand oracle: (2 + 3*sqrt(5)) * (1 + sqrt(5))
-        #   rational part 2*1 + 5*3*1 = 17, irrational part 2*1 + 3*1 = 5.
-        x = QuadScalar(2, 3, 5)
-        y = QuadScalar(1, 1, 5)
-        assert x * y == QuadScalar(17, 5, 5)
-
-    def test_additive_inverse(self):
-        x = q(4, -7)
-        assert (x + (-x)).is_zero()
-        assert x - x == q(0, 0)
-
-    def test_int_coercion(self):
-        assert q(2, 3) + 1 == q(3, 3)
-        assert 2 * q(2, 3) == q(4, 6)
-        assert 1 - q(2, 3) == q(-1, -3)
-
     def test_disc_one_folds_to_plain_integers(self):
         assert QuadScalar(2, 5, 1) == QuadScalar(7, 0, 1)
         assert QuadScalar(2, 5, 1).irr_part == 0
@@ -60,45 +33,6 @@ class TestQuadScalar:
         assert not is_square_free(m)
         with pytest.raises(ValueError, match="square-free"):
             QuadScalar(1, 1, m)
-
-    def test_mismatched_discriminant_rejected(self):
-        with pytest.raises(ValueError, match="discriminant"):
-            QuadScalar(1, 1, 2) + QuadScalar(1, 1, 5)
-        with pytest.raises(ValueError, match="discriminant"):
-            QuadScalar(1, 1, 2) * QuadScalar(1, 1, 3)
-
-    def test_ring_axioms_randomized(self):
-        rng = random.Random(20260814)
-        for _ in range(300):
-            m = rng.choice([1, 2, 3, 5, 7])
-            x, y, z = (
-                QuadScalar(rng.randint(-50, 50), rng.randint(-50, 50), m)
-                for _ in range(3)
-            )
-            assert (x + y) + z == x + (y + z)
-            assert x + y == y + x
-            assert (x * y) * z == x * (y * z)
-            assert x * y == y * x
-            assert x * (y + z) == x * y + x * z
-
-    def test_float_conversion_is_a_ring_morphism(self):
-        rng = random.Random(7)
-        for _ in range(200):
-            m = rng.choice([2, 3, 5])
-            x = QuadScalar(rng.randint(-30, 30), rng.randint(-30, 30), m)
-            y = QuadScalar(rng.randint(-30, 30), rng.randint(-30, 30), m)
-            assert (x * y).to_float() == pytest.approx(x.to_float() * y.to_float(), rel=1e-12, abs=1e-9)
-            assert (x + y).to_float() == pytest.approx(x.to_float() + y.to_float(), abs=1e-9)
-
-    def test_no_zero_divisors_randomized(self):
-        rng = random.Random(99)
-        for _ in range(300):
-            m = rng.choice([2, 3, 5, 6])
-            x = QuadScalar(rng.randint(-20, 20), rng.randint(-20, 20), m)
-            y = QuadScalar(rng.randint(-20, 20), rng.randint(-20, 20), m)
-            if not x.is_zero() and not y.is_zero():
-                assert not (x * y).is_zero()
-            assert (x * QuadScalar(0, 0, m)).is_zero()
 
 
 class TestRayVector:
@@ -121,7 +55,6 @@ class TestInnerProduct:
     def test_orthogonal_axes(self):
         u = exact_ray([1, 0, 0], disc=2)
         v = exact_ray([0, 1, 0], disc=2)
-        assert inner_product(u, v) == q(0, 0)
         assert is_orthogonal(u, v)
 
     def test_irrational_cancellation(self):
@@ -133,20 +66,43 @@ class TestInnerProduct:
     def test_non_orthogonal(self):
         u = exact_ray([1, 1, 0], disc=2)
         v = exact_ray([1, 0, 0], disc=2)
-        assert inner_product(u, v) == q(1, 0)
         assert not is_orthogonal(u, v)
-
-    def test_norm_squared(self):
-        v = exact_ray([(1, 0), (1, 0), (0, 1)], disc=2)
-        assert norm_squared(v) == q(4, 0)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
-            inner_product(exact_ray([1, 0], disc=2), exact_ray([1, 0, 0], disc=2))
+            is_orthogonal(exact_ray([1, 0], disc=2), exact_ray([1, 0, 0], disc=2))
 
     def test_mode_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mix"):
-            inner_product(exact_ray([1, 0, 0], disc=2), numeric_ray([1.0, 0.0, 0.0]))
+            is_orthogonal(exact_ray([1, 0, 0], disc=2), numeric_ray([1.0, 0.0, 0.0]))
+
+    def test_discriminant_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="discriminant"):
+            is_orthogonal(exact_ray([1, 0, 0], disc=2), exact_ray([1, 0, 0], disc=3))
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 5])
+    def test_exact_agrees_with_float_inner_product(self, m):
+        # With parts in [-2, 2] and d <= 4, a nonzero inner product r + s*sqrt(m)
+        # has |r| <= 96 and |s| <= 32, so |r + s*sqrt(m)| = |r^2 - m s^2| /
+        # |r - s*sqrt(m)| >= 1 / 168: floats separate zero from nonzero.
+        rng = random.Random(1700 + m)
+        orthogonal = 0
+        for _ in range(3000):
+            d = rng.choice((3, 4))
+            pairs = [
+                [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(d)] for _ in range(2)
+            ]
+            try:
+                u, v = (exact_ray(ray, disc=m) for ray in pairs)
+            except ValueError:  # a zero vector (with m = 1, a:-a is 0 too)
+                continue
+            root = math.sqrt(m)
+            value = math.fsum(
+                (a + b * root) * (c + e * root) for (a, b), (c, e) in zip(*pairs)
+            )
+            assert is_orthogonal(u, v) == (abs(value) < 1e-9)
+            orthogonal += is_orthogonal(u, v)
+        assert orthogonal > 0
 
     def test_numeric_tolerance_is_relative(self):
         u = numeric_ray([1.0, 1e-12, 0.0])

@@ -23,7 +23,7 @@ from kscertify.cli import (
 )
 from kscertify.coloring import DefinitionMode, verify_assignment
 from kscertify.inequality import build_inequality
-from kscertify.algebra import exact_ray
+from kscertify.algebra import exact_ray, numeric_ray
 from kscertify.rayset import DuplicateRayError, ScalarMode, build_instance, validate_rayset
 
 MINIMAL = """\
@@ -167,9 +167,6 @@ def test_exact_parse_matches_the_validated_rays(seed):
         ("int", "0 -0 +0", "zero vector is not a ray"),
         ("int", "1:-1 0 0", "zero vector is not a ray"),
         ("quad 2", "0:0 0 -0:+0", "zero vector is not a ray"),
-        ("quad 4", "1 0 0", "discriminant 4 is not a positive square-free integer"),
-        ("quad 4", "1 0 x", "bad component 'x'; expected 'a' or 'a:b'"),
-        ("quad 0", "0 0 0", "discriminant 0 is not a positive square-free integer"),
         ("int", "1 0", "expected 3 components, got 2"),
     ],
 )
@@ -178,6 +175,24 @@ def test_malformed_ray_names_its_line(scalar, ray, message):
     with pytest.raises(ParseError) as info:
         parse_rayset(text)
     assert (info.value.line_number, str(info.value)) == (5, f"line 5: {message}")
+
+
+@pytest.mark.parametrize(
+    "m, rays",
+    [
+        (4, "ray 1 0 0\nray 0 1 0\n"),
+        (4, "ray 1 0 x\nray 0 1 0\n"),
+        (0, "ray 0 0 0\nray 0 1 0\n"),
+        (4, ""),
+        (-3, ""),
+    ],
+)
+def test_bad_discriminant_names_the_scalar_line(m, rays):
+    text = f"ksset 1\nname t\ndim 3\nscalar quad {m}\n{rays}"
+    with pytest.raises(ParseError) as info:
+        parse_rayset(text)
+    message = f"line 4: discriminant {m} is not a positive square-free integer"
+    assert (info.value.line_number, str(info.value)) == (4, message)
 
 
 def test_unicode_decimal_digits_are_digits():
@@ -207,6 +222,17 @@ def test_parse_bad_numeric_tolerance_names_line(tol, tmp_path, capsys):
     assert status == 2
     assert out == ""
     assert "line 4: numeric tolerance" in capsys.readouterr().err
+
+
+def test_public_names_resolve():
+    """Every name in ``__all__`` exists, the lazy CLI names included."""
+    for name in kscertify.__all__:
+        getattr(kscertify, name)
+    namespace: dict = {}
+    exec("from kscertify import *", namespace)
+    assert set(kscertify.__all__) <= namespace.keys()
+    for name in kscertify._CLI_NAMES:
+        assert namespace[name] is getattr(kscertify.cli, name)
 
 
 @pytest.mark.parametrize("module", ["kscertify", "kscertify.cli"])
@@ -273,6 +299,12 @@ def test_rayset_round_trip_numeric():
     again = parse_rayset(emit_rayset(rayset))
     assert again == rayset
     assert emit_rayset(again) == emit_rayset(rayset)
+
+
+def test_rayset_round_trip_numeric_default_tolerance():
+    rays = [numeric_ray([1.0, 0.0, 0.0]), numeric_ray([0.0, 0.6, 0.8])]
+    rayset = validate_rayset(rays, name="n", mode=ScalarMode("numeric"))
+    assert parse_rayset(emit_rayset(rayset)) == rayset
 
 
 def test_emitted_rays_are_canonical():

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import make_integer_family, make_quadratic_family, transformed
-from kscertify.algebra import exact_ray, is_orthogonal, numeric_ray
+from kscertify.algebra import DEFAULT_TOLERANCE, exact_ray, is_orthogonal, numeric_ray
 from kscertify.catalog import catalog_entries, load_rayset
 from kscertify.inequality import compute_weights, weighted_independence_number
 from kscertify.rayset import (
@@ -19,7 +19,7 @@ from kscertify.rayset import (
     InvalidGeometryError,
     ProblemInstance,
     ScalarMode,
-    _exact_gram,
+    _exact_parts,
     build_graph,
     build_instance,
     covered_vertices,
@@ -146,6 +146,14 @@ class TestValidate:
         with pytest.raises(ValueError, match="tolerance"):
             ScalarMode.numeric(tol)
 
+    @pytest.mark.parametrize("mode", [("exact", 4), ("exact", 0), ("exact", -3), ("exact", None)])
+    def test_bad_discriminant_rejected(self, mode):
+        with pytest.raises(ValueError, match="is not a positive square-free integer"):
+            ScalarMode(*mode)
+
+    def test_numeric_mode_defaults_its_tolerance(self):
+        assert ScalarMode("numeric") == ScalarMode.numeric(DEFAULT_TOLERANCE)
+
     def test_dimension_below_three_rejected(self):
         with pytest.raises(ValueError, match="dimension"):
             validate_rayset([exact_ray([1, 0], disc=2)], name="d2", mode=E2)
@@ -255,9 +263,9 @@ class TestGraph:
             name="big",
             mode=ScalarMode.integer(),
         )
-        rational, _ = _exact_gram(rs.rays, 1)
+        rational, _ = _exact_parts(rs.rays, 1)
         assert rational.dtype == object
-        assert rational[0, 1] == 2**64
+        assert (rational @ rational.T)[0, 1] == 2**64
         assert build_graph(rs).edges == frozenset({(0, 2)}) == pairwise_edges(rs)
 
     def test_int64_path_just_under_guard(self):
@@ -266,7 +274,7 @@ class TestGraph:
         rs = validate_rayset(
             [exact_ray(r, disc=1) for r in rays], name="edge", mode=ScalarMode.integer()
         )
-        rational, _ = _exact_gram(rs.rays, 1)
+        rational, _ = _exact_parts(rs.rays, 1)
         assert rational.dtype == np.int64
         assert build_graph(rs).edges == pairwise_edges(rs)
         assert (0, 1) in build_graph(rs).edges
@@ -276,7 +284,7 @@ class TestGraph:
             name="over",
             mode=ScalarMode.integer(),
         )
-        assert _exact_gram(over.rays, 1)[0].dtype == object
+        assert _exact_parts(over.rays, 1)[0].dtype == object
         assert build_graph(over).edges == frozenset({(0, 1)}) == pairwise_edges(over)
 
 
