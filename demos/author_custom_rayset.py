@@ -35,7 +35,7 @@ rayset = validate_rayset(rays, name="hand-made", mode=ScalarMode.integer())
 # collapsed onto (1,0,0) and been rejected as duplicates of ray 0.
 print("canonical rays:")
 for i, ray in enumerate(rayset.rays):
-    print(f"  {i}: {tuple(c.rat_part for c in ray.coords)}")
+    print(f"  {i}: {tuple(a for a, _ in ray.coords)}")
 
 instance = build_instance(rayset)
 print(f"\northogonal pairs: {instance.graph.sorted_edges()}")

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from .algebra import (
     DEFAULT_TOLERANCE,
-    QuadScalar,
     RayVector,
     canonicalize_ray,
     exact_ray,
@@ -63,7 +62,6 @@ __all__ = [
     "InvalidGeometryError",
     "ParseError",
     "ProblemInstance",
-    "QuadScalar",
     "RaySet",
     "RayVector",
     "ScalarMode",

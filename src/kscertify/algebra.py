@@ -1,11 +1,11 @@
 """Exact rays with coordinates in a real quadratic integer ring.
 
-Scalars are elements a + b*sqrt(m) with integer a, b and a fixed positive
-square-free discriminant m shared by every coordinate of a ray set.  With
-m = 1 the ring degenerates to the plain integers.  A scalar is a checked
-value with no operators: every exact computation works on the integer parts
-(a, b) directly.  A numeric fallback with float coordinates and a relative
-tolerance is available for ray sets that have no exact representation.
+An exact coordinate is a pair (a, b) of ints meaning a + b*sqrt(m), for a
+positive square-free discriminant m that the ray carries once and that every
+ray of a set shares.  With m = 1 the ring degenerates to the plain integers.
+Every exact computation works on the integer parts directly.  A numeric
+fallback with float coordinates and a relative tolerance is available for
+ray sets that have no exact representation.
 """
 
 from __future__ import annotations
@@ -30,65 +30,43 @@ def is_square_free(m: int) -> bool:
 
 
 @dataclass(frozen=True, slots=True)
-class QuadScalar:
-    """Element rat_part + irr_part * sqrt(disc) of the ring Z[sqrt(disc)]."""
-
-    rat_part: int
-    irr_part: int
-    disc: int
-
-    def __post_init__(self) -> None:
-        if not is_square_free(self.disc):
-            raise ValueError(f"discriminant {self.disc} is not a positive square-free integer")
-        if self.disc == 1 and self.irr_part != 0:
-            # sqrt(1) = 1, so fold the irrational part away and keep
-            # plain-integer scalars in the form (a, 0, 1).
-            object.__setattr__(self, "rat_part", self.rat_part + self.irr_part)
-            object.__setattr__(self, "irr_part", 0)
-
-    def is_zero(self) -> bool:
-        # m square-free makes sqrt(m) irrational (or equal to 1 with m = 1,
-        # where irr_part is always 0), so both parts must vanish.
-        return self.rat_part == 0 and self.irr_part == 0
-
-    def to_float(self) -> float:
-        return self.rat_part + self.irr_part * math.sqrt(self.disc)
-
-    def __str__(self) -> str:
-        if self.irr_part == 0:
-            return str(self.rat_part)
-        return f"{self.rat_part}+{self.irr_part}*sqrt({self.disc})"
-
-
-ExactCoords = tuple[QuadScalar, ...]
-NumericCoords = tuple[float, ...]
-
-
-@dataclass(frozen=True, slots=True)
 class RayVector:
-    """A nonzero vector of exact QuadScalar coordinates or float coordinates."""
+    """A nonzero vector: (rat, irr) int pairs over Z[sqrt(disc)] when
+    ``disc`` is set, floats when it is None."""
 
-    coords: ExactCoords | NumericCoords
+    coords: tuple[tuple[int, int], ...] | tuple[float, ...]
+    disc: int | None = None
 
     def __post_init__(self) -> None:
         if len(self.coords) == 0:
             raise ValueError("ray has no coordinates")
-        if isinstance(self.coords[0], QuadScalar):
-            coords = tuple(self.coords)
-            disc = coords[0].disc
-            for c in coords:
-                if not isinstance(c, QuadScalar):
-                    raise ValueError("mixed exact and numeric coordinates")
-                if c.disc != disc:
-                    raise ValueError(f"mismatched discriminants {disc} and {c.disc}")
-            if all(c.is_zero() for c in coords):
-                raise ValueError("zero vector is not a ray")
-            object.__setattr__(self, "coords", coords)
-        else:
+        m = self.disc
+        if m is None:
             coords = tuple(float(c) for c in self.coords)
-            if all(c == 0.0 for c in coords):
+            # Canonical scaling divides by the norm, so it must be a
+            # positive finite float: no nan or inf, no underflow to 0 and
+            # no overflow of the squares.
+            norm_squared = math.fsum(x * x for x in coords)
+            if not 0.0 < norm_squared < math.inf:
+                if not any(coords):
+                    raise ValueError("zero vector is not a ray")
+                raise ValueError(f"squared norm {norm_squared!r} is not a positive finite float")
+        else:
+            if type(m) is not int or not is_square_free(m):
+                raise ValueError(f"discriminant {m} is not a positive square-free integer")
+            coords = tuple(self.coords)
+            for c in coords:
+                # Exactly int, so that no float, bool or str enters exact
+                # arithmetic, where it would be wrong without an error.
+                if type(c) is not tuple or len(c) != 2 or (type(c[0]), type(c[1])) != (int, int):
+                    raise ValueError(f"exact coordinate {c!r} is not a pair of ints")
+            if m == 1 and any(irr for _, irr in coords):
+                # sqrt(1) = 1, so fold the irrational part away and keep
+                # plain-integer coordinates in the form (a, 0).
+                coords = tuple((rat + irr, 0) for rat, irr in coords)
+            if not any(rat or irr for rat, irr in coords):
                 raise ValueError("zero vector is not a ray")
-            object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "coords", coords)
 
     @property
     def dimension(self) -> int:
@@ -96,32 +74,22 @@ class RayVector:
 
     @property
     def exact(self) -> bool:
-        return isinstance(self.coords[0], QuadScalar)
-
-    @property
-    def disc(self) -> int | None:
-        return self.coords[0].disc if self.exact else None
+        return self.disc is not None
 
     def to_floats(self) -> tuple[float, ...]:
-        if self.exact:
-            return tuple(c.to_float() for c in self.coords)
-        return self.coords  # type: ignore[return-value]
+        if self.disc is None:
+            return self.coords  # type: ignore[return-value]
+        root = math.sqrt(self.disc)
+        return tuple(rat + irr * root for rat, irr in self.coords)
 
 
 def exact_ray(components: list[tuple[int, int]] | list[int], disc: int) -> RayVector:
     """Build an exact ray from integer components or (rat, irr) pairs."""
-    coords = []
-    for comp in components:
-        if isinstance(comp, tuple):
-            rat, irr = comp
-        else:
-            rat, irr = comp, 0
-        coords.append(QuadScalar(rat, irr, disc))
-    return RayVector(tuple(coords))
+    return RayVector(tuple(c if isinstance(c, tuple) else (c, 0) for c in components), disc)
 
 
 def numeric_ray(components: list[float] | tuple[float, ...]) -> RayVector:
-    return RayVector(tuple(float(c) for c in components))
+    return RayVector(tuple(components))
 
 
 def _check_compatible(u: RayVector, v: RayVector) -> None:
@@ -129,7 +97,7 @@ def _check_compatible(u: RayVector, v: RayVector) -> None:
         raise ValueError(f"dimension mismatch: {u.dimension} != {v.dimension}")
     if u.exact != v.exact:
         raise ValueError("cannot mix exact and numeric rays")
-    if u.exact and u.disc != v.disc:
+    if u.disc != v.disc:
         raise ValueError(f"mismatched discriminants {u.disc} and {v.disc}")
 
 
@@ -149,9 +117,9 @@ def is_orthogonal(u: RayVector, v: RayVector, tol: float = DEFAULT_TOLERANCE) ->
         # (a + b sqrt(m))(c + e sqrt(m)) = (ac + m be) + (ae + bc) sqrt(m).
         m = u.disc
         rat = irr = 0
-        for x, y in zip(u.coords, v.coords):
-            rat += x.rat_part * y.rat_part + m * x.irr_part * y.irr_part
-            irr += x.rat_part * y.irr_part + x.irr_part * y.rat_part
+        for (a, b), (c, e) in zip(u.coords, v.coords):
+            rat += a * c + m * b * e
+            irr += a * e + b * c
         return rat == 0 and irr == 0
     ip = math.fsum(a * b for a, b in zip(u.coords, v.coords))
     return abs(ip) <= tol * _euclidean_norm(u) * _euclidean_norm(v)
@@ -181,13 +149,11 @@ def canonicalize_ray(v: RayVector) -> RayVector:
     outputs.
     """
     if v.exact:
-        g = signed_gcd([p for c in v.coords for p in (c.rat_part, c.irr_part)])
+        g = signed_gcd([p for c in v.coords for p in c])
         if g == 1:
             # Already canonical, as every ray of an emitted file is.
             return v
-        return RayVector(
-            tuple(QuadScalar(c.rat_part // g, c.irr_part // g, c.disc) for c in v.coords)
-        )
+        return RayVector(tuple((a // g, b // g) for a, b in v.coords), v.disc)
     norm = _euclidean_norm(v)
     if abs(norm - 1.0) <= 1e-12:
         # Already unit length: renormalizing would perturb the last bits,

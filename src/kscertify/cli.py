@@ -27,7 +27,7 @@ import re
 import sys
 from typing import Sequence, TextIO
 
-from .algebra import QuadScalar, RayVector, numeric_ray, signed_gcd
+from .algebra import RayVector
 from .catalog import catalog_entries, get_entry, load_text
 from .coloring import DefinitionMode, check_colorable
 from .inequality import (
@@ -83,44 +83,14 @@ def _parse_exact_component(token: str, number: int) -> tuple[int, int]:
     return rat, irr
 
 
-class _Scalars(dict):
-    """The coordinates of one parse, each distinct (rat, irr) pair built once
-    as a QuadScalar."""
-
-    def __init__(self, disc: int) -> None:
-        super().__init__()
-        self.disc = disc
-
-    def __missing__(self, pair: tuple[int, int]) -> QuadScalar:
-        scalar = self[pair] = QuadScalar(pair[0], pair[1], self.disc)
-        return scalar
-
-
-def _parse_exact_ray(tokens: list[str], number: int, scalars: _Scalars) -> RayVector:
-    """One exact ray, put in canonical form on its integer pairs.
-
-    The same ray as ``canonicalize_ray(exact_ray(pairs, disc))``: under
-    ``scalar int`` an ``a:b`` component is folded to a + b first, then the
-    pairs are divided by their ``signed_gcd``.
-    """
-    parts = [_parse_exact_component(tok, number) for tok in tokens]
-    if scalars.disc == 1:
-        parts = [(a + b, 0) for a, b in parts]
-    g = signed_gcd([v for pair in parts for v in pair])
-    if g == 0:
-        raise ParseError(number, "zero vector is not a ray")
-    if g != 1:
-        parts = [(a // g, b // g) for a, b in parts]
-    return RayVector(tuple(map(scalars.__getitem__, parts)))
-
-
 def parse_rayset(text: str) -> RaySet:
     """Parse ray-set file text into a validated, canonicalized RaySet.
 
     Raises ParseError (naming the offending line) for an unknown header,
-    unknown or repeated directives, bad component syntax, or a wrong
-    component count, and re-raises duplicate-ray errors from validation
-    with the line number of the second copy.
+    unknown or repeated directives, a dimension below 3, bad component
+    syntax, a wrong component count, or a zero or non-finite ray, and
+    re-raises duplicate-ray errors from validation with the line number of
+    the second copy.
     """
     lines = _significant_lines(text)
     if not lines:
@@ -134,7 +104,6 @@ def parse_rayset(text: str) -> RaySet:
     mode: ScalarMode | None = None
     rays: list[RayVector] = []
     ray_lines: list[int] = []
-    scalars: _Scalars | None = None
 
     for number, content in lines[1:]:
         tokens = content.split()
@@ -148,9 +117,11 @@ def parse_rayset(text: str) -> RaySet:
         elif keyword == "dim":
             if dimension is not None:
                 raise ParseError(number, "repeated 'dim' directive")
-            if len(tokens) != 2 or not tokens[1].isdigit():
+            if len(tokens) != 2 or not tokens[1].isdecimal():
                 raise ParseError(number, "'dim' directive needs one integer")
             dimension = int(tokens[1])
+            if dimension < 3:
+                raise ParseError(number, f"dimension {dimension} is below 3")
         elif keyword == "scalar":
             if mode is not None:
                 raise ParseError(number, "repeated 'scalar' directive")
@@ -175,7 +146,6 @@ def parse_rayset(text: str) -> RaySet:
                     number,
                     "'scalar' directive must be 'int', 'quad <m>' or 'numeric <tol>'",
                 )
-            scalars = _Scalars(mode.disc) if mode.is_exact else None
         elif keyword == "ray":
             if dimension is None:
                 raise ParseError(number, "'ray' line before 'dim' directive")
@@ -189,9 +159,10 @@ def parse_rayset(text: str) -> RaySet:
                 )
             try:
                 if mode.is_exact:
-                    ray = _parse_exact_ray(components, number, scalars)
+                    coords = tuple(_parse_exact_component(tok, number) for tok in components)
                 else:
-                    ray = numeric_ray([float(tok) for tok in components])
+                    coords = tuple(float(tok) for tok in components)
+                ray = RayVector(coords, mode.disc)
             except ParseError:
                 raise
             except ValueError as exc:
@@ -216,10 +187,9 @@ def parse_rayset(text: str) -> RaySet:
         raise
 
 
-def _format_exact(coord) -> str:
-    if coord.irr_part == 0:
-        return str(coord.rat_part)
-    return f"{coord.rat_part}:{coord.irr_part}"
+def _format_exact(pair: tuple[int, int]) -> str:
+    rat, irr = pair
+    return str(rat) if irr == 0 else f"{rat}:{irr}"
 
 
 def _format_scalar_mode(mode: ScalarMode) -> str:

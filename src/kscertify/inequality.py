@@ -363,8 +363,7 @@ def operator_sum_check(instance: ProblemInstance, weights: WeightVector) -> bool
     for w, ray in zip(weights, rayset.rays):
         if w == 0:
             continue
-        a = [c.rat_part for c in ray.coords]
-        b = [c.irr_part for c in ray.coords]
+        a, b = zip(*ray.coords)
         p = sum(x * x + m * y * y for x, y in zip(a, b))
         q = 2 * sum(x * y for x, y in zip(a, b))
         den = p * p - m * q * q

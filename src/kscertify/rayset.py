@@ -39,8 +39,9 @@ class InvalidGeometryError(ValueError):
 class ScalarMode:
     """Coordinate field of a ray set: exact ring Z[sqrt(disc)] or floats.
 
-    An exact mode needs a positive square-free ``disc``; a numeric mode
-    without a tolerance gets ``DEFAULT_TOLERANCE``.
+    An exact mode needs a positive square-free ``disc`` and takes no
+    ``tol``; a numeric mode takes no ``disc``, and without a tolerance gets
+    ``DEFAULT_TOLERANCE``.  So every ray of a set has ``ray.disc == mode.disc``.
     """
 
     kind: str
@@ -53,9 +54,14 @@ class ScalarMode:
         if self.kind == "exact":
             if not (isinstance(self.disc, int) and is_square_free(self.disc)):
                 raise ValueError(f"discriminant {self.disc} is not a positive square-free integer")
-        elif self.tol is None:
+            if self.tol is not None:
+                raise ValueError(f"exact scalar mode takes no tolerance, got {self.tol!r}")
+            return
+        if self.disc is not None:
+            raise ValueError(f"numeric scalar mode takes no discriminant, got {self.disc!r}")
+        if self.tol is None:
             object.__setattr__(self, "tol", DEFAULT_TOLERANCE)
-        if self.tol is not None and not (math.isfinite(self.tol) and self.tol >= 0):
+        if not (math.isfinite(self.tol) and self.tol >= 0):
             raise ValueError(f"numeric tolerance {self.tol!r} is not a finite number >= 0")
 
     @classmethod
@@ -97,9 +103,9 @@ def _colinearity_key(ray: RayVector) -> tuple[tuple[int, int], ...]:
     and its first nonzero coordinate is positive.
     """
     m = ray.disc
-    parts = [(c.rat_part, c.irr_part) for c in ray.coords]
+    parts = ray.coords
     if m == 1:
-        return tuple(parts)
+        return parts
     k = next(i for i, p in enumerate(parts) if p != (0, 0))
     a, b = parts[k]
     scaled = [(x * a - m * y * b, y * a - x * b) for x, y in parts]
@@ -119,18 +125,15 @@ def validate_rayset(rays: Sequence[RayVector], name: str, mode: ScalarMode) -> R
     dimension = rays[0].dimension
     if dimension < 3:
         raise ValueError(f"dimension {dimension} is below 3")
-    exact = mode.is_exact
     for i, ray in enumerate(rays):
         if ray.dimension != dimension:
             raise ValueError(f"ray {i} has dimension {ray.dimension}, expected {dimension}")
-        if ray.exact != exact:
-            raise ValueError(f"ray {i} does not match scalar mode {mode.kind}")
-        if exact and ray.disc != mode.disc:
+        if ray.disc != mode.disc:
             raise ValueError(
-                f"ray {i} has discriminant {ray.disc}, expected {mode.disc}"
+                f"ray {i} has discriminant {ray.disc}, not {mode.disc} of scalar mode {mode.kind}"
             )
     canonical = tuple(canonicalize_ray(r) for r in rays)
-    if exact:
+    if mode.is_exact:
         seen: dict[tuple, int] = {}
         for i, ray in enumerate(canonical):
             key = _colinearity_key(ray)
@@ -190,8 +193,8 @@ def _exact_parts(rays: Sequence[RayVector], m: int) -> tuple[np.ndarray, np.ndar
     |part|; int64 is used only below 2**63, because NumPy's integer matmul
     wraps silently, and exact Python ints (object dtype) otherwise.
     """
-    rat = [[c.rat_part for c in ray.coords] for ray in rays]
-    irr = [[c.irr_part for c in ray.coords] for ray in rays]
+    rat = [[a for a, _ in ray.coords] for ray in rays]
+    irr = [[b for _, b in ray.coords] for ray in rays]
     largest = max(abs(v) for row in rat + irr for v in row)
     dtype = np.int64 if len(rat[0]) * largest**2 * (1 + m) < 2**63 else object
     return np.array(rat, dtype=dtype), np.array(irr, dtype=dtype)

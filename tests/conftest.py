@@ -9,7 +9,7 @@ import random
 import numpy as np
 import pytest
 
-from kscertify.algebra import QuadScalar, RayVector, canonicalize_ray, exact_ray
+from kscertify.algebra import RayVector, canonicalize_ray, exact_ray
 from kscertify.coloring import DefinitionMode
 from kscertify.rayset import (
     Basis,
@@ -30,13 +30,11 @@ def _orbit(seed: tuple[tuple[int, int], ...], disc: int) -> set[tuple[tuple[int,
     for perm in itertools.permutations(range(n)):
         for signs in itertools.product((1, -1), repeat=n):
             coords = tuple(
-                QuadScalar(signs[k] * seed[perm[k]][0], signs[k] * seed[perm[k]][1], disc)
-                for k in range(n)
+                (signs[k] * seed[perm[k]][0], signs[k] * seed[perm[k]][1]) for k in range(n)
             )
-            if all(c.is_zero() for c in coords):
+            if all(c == (0, 0) for c in coords):
                 continue
-            ray = canonicalize_ray(RayVector(coords))
-            out.add(tuple((c.rat_part, c.irr_part) for c in ray.coords))
+            out.add(canonicalize_ray(RayVector(coords, disc)).coords)
     return out
 
 
@@ -50,7 +48,7 @@ def make_peres33() -> RaySet:
     for seed in seeds:
         keys |= _orbit(seed, disc=2)
     rays = [
-        RayVector(tuple(QuadScalar(a, b, 2) for a, b in key))
+        RayVector(key, 2)
         for key in sorted(keys)
     ]
     return validate_rayset(rays, name="peres-33", mode=ScalarMode.exact(2))
@@ -107,10 +105,10 @@ def transformed(rayset: RaySet, rng: random.Random, keep: float | None = None) -
     for i in order:
         sign = rng.choice((1, -1))
         coords = [rayset.rays[i].coords[k] for k in perm]
-        rays.append(RayVector(tuple(
-            QuadScalar(sign * f * c.rat_part, sign * f * c.irr_part, c.disc)
-            for f, c in zip(flips, coords)
-        )))
+        rays.append(RayVector(
+            tuple((sign * f * a, sign * f * b) for f, (a, b) in zip(flips, coords)),
+            rayset.mode.disc,
+        ))
     return validate_rayset(rays, name=rayset.name, mode=rayset.mode)
 
 

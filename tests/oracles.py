@@ -114,7 +114,7 @@ def signed_permutation_group(rayset) -> set[tuple[int, ...]]:
             for a, b in vector
         )
 
-    vectors = [[(x.rat_part, x.irr_part) for x in ray.coords] for ray in rayset.rays]
+    vectors = [ray.coords for ray in rayset.rays]
     index = {key(v): i for i, v in enumerate(vectors)}
     group = set()
     for perm in itertools.permutations(range(d)):
@@ -149,7 +149,7 @@ def fraction_operator_sum(instance: ProblemInstance, weights) -> bool:
     zero = (Fraction(0), Fraction(0))
     entries = [[zero] * d for _ in range(d)]
     for w, ray in zip(weights, rayset.rays):
-        u = [(Fraction(c.rat_part), Fraction(c.irr_part)) for c in ray.coords]
+        u = [(Fraction(a), Fraction(b)) for a, b in ray.coords]
         norm = zero
         for c in u:
             square = mul(c, c)

@@ -14,7 +14,7 @@ import time
 
 import pytest
 
-from kscertify.algebra import QuadScalar, RayVector
+from kscertify.algebra import RayVector
 from kscertify.catalog import catalog_entries, load_rayset, load_text
 from kscertify.cli import run_command
 from kscertify.coloring import DefinitionMode, check_colorable, verify_assignment
@@ -293,13 +293,10 @@ def test_acceptance_9_supersets_stay_ks(capsys):
         rng = random.Random(9000 + trial)
         rays = list(base.rays)
         while len(rays) < len(base.rays) + 5:
-            coords = tuple(
-                QuadScalar(rng.randint(-2, 2), rng.randint(-2, 2), 2)
-                for _ in range(3)
-            )
-            if all(c.is_zero() for c in coords):
+            coords = tuple((rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(3))
+            if all(c == (0, 0) for c in coords):
                 continue
-            candidate = rays + [RayVector(coords)]
+            candidate = rays + [RayVector(coords, 2)]
             try:
                 validate_rayset(candidate, name="superset", mode=base.mode)
             except ValueError:

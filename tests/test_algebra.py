@@ -1,4 +1,4 @@
-"""Tests for the exact quadratic-ring scalars and ray-level operations."""
+"""Tests for exact rays over quadratic integer rings and ray-level operations."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import random
 import pytest
 
 from kscertify.algebra import (
-    QuadScalar,
     RayVector,
     canonicalize_ray,
     exact_ray,
@@ -18,33 +17,48 @@ from kscertify.algebra import (
 )
 
 
-class TestQuadScalar:
+class TestRayVector:
     def test_disc_one_folds_to_plain_integers(self):
-        assert QuadScalar(2, 5, 1) == QuadScalar(7, 0, 1)
-        assert QuadScalar(2, 5, 1).irr_part == 0
+        assert exact_ray([(2, 5), 1, 0], disc=1) == exact_ray([7, 1, 0], disc=1)
+        assert exact_ray([(2, 5), 1, 0], disc=1).coords == ((7, 0), (1, 0), (0, 0))
 
     @pytest.mark.parametrize("m", [1, 2, 3, 5, 6, 7, 10, 13])
     def test_square_free_accepted(self, m):
         assert is_square_free(m)
-        QuadScalar(1, 1, m)
+        assert exact_ray([(1, 1), 0, 0], disc=m).disc == m
 
     @pytest.mark.parametrize("m", [0, -2, 4, 8, 9, 12, 18, 50])
     def test_non_square_free_rejected(self, m):
         assert not is_square_free(m)
         with pytest.raises(ValueError, match="square-free"):
-            QuadScalar(1, 1, m)
+            exact_ray([(1, 1), 0, 0], disc=m)
 
+    @pytest.mark.parametrize("m", [2.0, True, "2"])
+    def test_non_int_discriminant_rejected(self, m):
+        with pytest.raises(ValueError, match="square-free"):
+            exact_ray([(1, 1), 0, 0], disc=m)
 
-class TestRayVector:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero vector"):
             exact_ray([0, 0, 0], disc=2)
         with pytest.raises(ValueError, match="zero vector"):
+            exact_ray([(1, -1), (0, 0), (-2, 2)], disc=1)
+        with pytest.raises(ValueError, match="zero vector"):
             numeric_ray([0.0, 0.0, 0.0])
 
-    def test_mixed_discriminants_rejected(self):
-        with pytest.raises(ValueError, match="discriminant"):
-            RayVector((QuadScalar(1, 0, 2), QuadScalar(0, 1, 3), QuadScalar(0, 0, 2)))
+    @pytest.mark.parametrize("part", [0.5, 1.0, True, False, "1"])
+    def test_no_float_enters_the_exact_path(self, part):
+        with pytest.raises(ValueError, match="is not a pair of ints"):
+            exact_ray([part, -1, 0], disc=1)
+        with pytest.raises(ValueError, match="is not a pair of ints"):
+            exact_ray([(1, part), 2, 0], disc=2)
+        with pytest.raises(ValueError, match="is not a pair of ints"):
+            RayVector(((part, 0), (2, 0), (0, 0)), 2)
+
+    @pytest.mark.parametrize("coord", [1, [1, 0], (1,), (1, 0, 0)])
+    def test_exact_coordinate_must_be_an_int_pair(self, coord):
+        with pytest.raises(ValueError, match="is not a pair of ints"):
+            RayVector((coord, (0, 0), (0, 1)), 2)
 
     def test_float_conversion(self):
         v = exact_ray([(1, 0), (0, 1), (0, 0)], disc=2)

@@ -89,11 +89,9 @@ def test_conway_kochen_31_frozen_statistics():
 
 def test_conway_kochen_31_components_are_small_integers():
     rayset = load_rayset("conway-kochen-31")
-    values = {
-        c.rat_part for ray in rayset.rays for c in ray.coords
-    }
+    values = {a for ray in rayset.rays for a, _ in ray.coords}
     assert values <= {-2, -1, 0, 1, 2}
-    assert all(c.irr_part == 0 for ray in rayset.rays for c in ray.coords)
+    assert all(b == 0 for ray in rayset.rays for _, b in ray.coords)
 
 
 def test_conway_kochen_31_is_critical():

@@ -58,8 +58,7 @@ def test_parse_quad_component():
     text = "ksset 1\nname q\ndim 3\nscalar quad 2\nray 0 0:1 1\nray 1 0 0\nray 0 1 0:-1\n"
     rayset = parse_rayset(text)
     assert rayset.mode.disc == 2
-    coords = rayset.rays[0].coords
-    assert (coords[1].rat_part, coords[1].irr_part) == (0, 1)
+    assert rayset.rays[0].coords[1] == (0, 1)
 
 
 def test_parse_numeric_mode():
@@ -168,6 +167,11 @@ def test_exact_parse_matches_the_validated_rays(seed):
         ("int", "1:-1 0 0", "zero vector is not a ray"),
         ("quad 2", "0:0 0 -0:+0", "zero vector is not a ray"),
         ("int", "1 0", "expected 3 components, got 2"),
+        ("numeric 1e-09", "0.0 -0 0e5", "zero vector is not a ray"),
+        ("numeric 1e-09", "nan 0 0", "squared norm nan is not a positive finite float"),
+        ("numeric 1e-09", "1e400 0 0", "squared norm inf is not a positive finite float"),
+        ("numeric 1e-09", "1e-320 0 0", "squared norm 0.0 is not a positive finite float"),
+        ("numeric 1e-09", "1e200 1e200 0", "squared norm inf is not a positive finite float"),
     ],
 )
 def test_malformed_ray_names_its_line(scalar, ray, message):
@@ -175,6 +179,37 @@ def test_malformed_ray_names_its_line(scalar, ray, message):
     with pytest.raises(ParseError) as info:
         parse_rayset(text)
     assert (info.value.line_number, str(info.value)) == (5, f"line 5: {message}")
+
+
+@pytest.mark.parametrize("ray", ["nan 0 0", "1e-320 0 0", "1e200 1e200 0"])
+def test_cli_malformed_numeric_ray_exits_2(ray, tmp_path, capsys):
+    path = tmp_path / "bad.ks"
+    path.write_text(f"ksset 1\nname t\ndim 3\nscalar numeric 1e-09\nray {ray}\n", encoding="utf-8")
+    status, out = run(["verify", str(path)])
+    assert (status, out) == (2, "")
+    assert "error: line 5: squared norm" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "d, message",
+    [
+        ("0", "dimension 0 is below 3"),
+        ("2", "dimension 2 is below 3"),
+        ("\u00b2", "'dim' directive needs one integer"),
+        ("3.0", "'dim' directive needs one integer"),
+    ],
+)
+def test_bad_dim_names_its_line(d, message, tmp_path, capsys):
+    text = f"ksset 1\nname t\ndim {d}\nscalar int\nray 1 0\n"
+    with pytest.raises(ParseError) as info:
+        parse_rayset(text)
+    message = f"line 3: {message}"
+    assert (info.value.line_number, str(info.value)) == (3, message)
+    path = tmp_path / "bad.ks"
+    path.write_text(text, encoding="utf-8")
+    status, out = run(["verify", str(path)])
+    assert (status, out) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize(

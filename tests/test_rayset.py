@@ -151,6 +151,21 @@ class TestValidate:
         with pytest.raises(ValueError, match="is not a positive square-free integer"):
             ScalarMode(*mode)
 
+    @pytest.mark.parametrize(
+        "mode, message",
+        [
+            (("exact", 2, 0.5), "exact scalar mode takes no tolerance, got 0.5"),
+            (("exact", 1, DEFAULT_TOLERANCE), "exact scalar mode takes no tolerance"),
+            (("numeric", 3), "numeric scalar mode takes no discriminant, got 3"),
+            (("numeric", 1, 1e-6), "numeric scalar mode takes no discriminant, got 1"),
+        ],
+    )
+    def test_field_of_the_other_kind_rejected(self, mode, message):
+        # A field the mode's kind does not use would be lost by a round trip
+        # through the file format, which writes only the kind's own field.
+        with pytest.raises(ValueError, match=message):
+            ScalarMode(*mode)
+
     def test_numeric_mode_defaults_its_tolerance(self):
         assert ScalarMode("numeric") == ScalarMode.numeric(DEFAULT_TOLERANCE)
 
