@@ -1,11 +1,11 @@
 """Exact rays with coordinates in a real quadratic integer ring.
 
 An exact coordinate is a pair (a, b) of ints meaning a + b*sqrt(m), for a
-positive square-free discriminant m that the ray carries once and that every
-ray of a set shares.  With m = 1 the ring degenerates to the plain integers.
-Every exact computation works on the integer parts directly.  A numeric
-fallback with float coordinates and a relative tolerance is available for
-ray sets that have no exact representation.
+positive square-free discriminant m below 2**31 that the ray carries once
+and that every ray of a set shares.  With m = 1 the ring degenerates to the
+plain integers.  Every exact computation works on the integer parts
+directly.  A numeric fallback with float coordinates and a relative
+tolerance is available for ray sets that have no exact representation.
 """
 
 from __future__ import annotations
@@ -15,6 +15,10 @@ from dataclasses import dataclass
 from functools import cache
 
 DEFAULT_TOLERANCE = 1e-9
+
+# Exact modes take a discriminant below this bound, so that the trial
+# division of ``is_square_free`` stops within 46 341 steps.
+DISCRIMINANT_BOUND = 2**31
 
 
 @cache
@@ -27,6 +31,15 @@ def is_square_free(m: int) -> bool:
             return False
         k += 1
     return True
+
+
+def check_discriminant(m: int) -> None:
+    """Raise ValueError unless m, the discriminant of an exact ray or scalar
+    mode, is a square-free int (not a bool) in [1, DISCRIMINANT_BOUND)."""
+    if type(m) is int and m >= DISCRIMINANT_BOUND:
+        raise ValueError(f"discriminant {m} is not below 2**31")
+    if type(m) is not int or not is_square_free(m):
+        raise ValueError(f"discriminant {m} is not a positive square-free integer")
 
 
 @dataclass(frozen=True, slots=True)
@@ -52,8 +65,7 @@ class RayVector:
                     raise ValueError("zero vector is not a ray")
                 raise ValueError(f"squared norm {norm_squared!r} is not a positive finite float")
         else:
-            if type(m) is not int or not is_square_free(m):
-                raise ValueError(f"discriminant {m} is not a positive square-free integer")
+            check_discriminant(m)
             coords = tuple(self.coords)
             for c in coords:
                 # Exactly int, so that no float, bool or str enters exact
@@ -125,31 +137,17 @@ def is_orthogonal(u: RayVector, v: RayVector, tol: float = DEFAULT_TOLERANCE) ->
     return abs(ip) <= tol * _euclidean_norm(u) * _euclidean_norm(v)
 
 
-def signed_gcd(parts: list[int]) -> int:
-    """The gcd of a ray's flattened (rat, irr) parts, negated when the first
-    nonzero part is negative; 0 for the zero vector.
-
-    Dividing every part by it is the canonical scaling of an exact ray: the
-    parts become coprime and the first nonzero coordinate positive under
-    the (rat, irr) lexicographic order.
-    """
-    g = math.gcd(*parts)
-    for p in parts:
-        if p:
-            return g if p > 0 else -g
-    return g
-
-
 def canonicalize_ray(v: RayVector) -> RayVector:
     """Scale-invariant canonical form of a projective ray.
 
-    Exact rays are divided by ``signed_gcd`` of their parts.  Numeric rays
-    are scaled to unit Euclidean norm with the first nonzero coordinate
-    positive.  Colinear inputs with a rational scale factor map to identical
-    outputs.
+    Exact rays are divided by the gcd of their parts, signed like the first
+    nonzero part.  Numeric rays are scaled to unit Euclidean norm with the
+    first nonzero coordinate positive.  Colinear inputs with a rational
+    scale factor map to identical outputs.
     """
     if v.exact:
-        g = signed_gcd([p for c in v.coords for p in c])
+        parts = [p for c in v.coords for p in c]
+        g = math.gcd(*parts) if next(filter(None, parts)) > 0 else -math.gcd(*parts)
         if g == 1:
             # Already canonical, as every ray of an emitted file is.
             return v

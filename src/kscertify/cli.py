@@ -38,6 +38,7 @@ from .inequality import (
     quantum_value,
 )
 from .rayset import (
+    DuplicateRayError,
     ProblemInstance,
     RaySet,
     ScalarMode,
@@ -180,11 +181,8 @@ def parse_rayset(text: str) -> RaySet:
         raise ParseError(lines[-1][0], "no 'ray' lines")
     try:
         return validate_rayset(rays, name=name or "unnamed", mode=mode)
-    except ValueError as exc:
-        indices = getattr(exc, "index_b", None)
-        if indices is not None:
-            raise ParseError(ray_lines[indices], str(exc)) from exc
-        raise
+    except DuplicateRayError as exc:
+        raise ParseError(ray_lines[exc.index_b], str(exc)) from exc
 
 
 def _format_exact(pair: tuple[int, int]) -> str:
@@ -214,11 +212,11 @@ def emit_rayset(rayset: RaySet) -> str:
 
 
 def parse_inequality(text: str) -> Inequality:
-    """Parse inequality file text; inverse of emit_inequality."""
+    """Parse inequality file text; inverse of emit_inequality, so a line
+    that it never writes raises ParseError."""
     terms: dict[int, int] = {}
-    edges: list[tuple[int, int, int]] = []
-    classical: int | None = None
-    quantum: int | None = None
+    edges: dict[tuple[int, int], int] = {}
+    bounds: dict[str, int] = {}
     for number, content in _significant_lines(text):
         tokens = content.split()
         keyword = tokens[0]
@@ -227,34 +225,41 @@ def parse_inequality(text: str) -> Inequality:
                 index, weight = int(tokens[1]), int(tokens[2])
                 if index in terms:
                     raise ParseError(number, f"repeated term for vertex {index}")
+                if weight < 0:
+                    raise ParseError(number, f"negative weight {weight} for vertex {index}")
                 terms[index] = weight
             elif keyword == "edge" and len(tokens) == 4:
-                edges.append((int(tokens[1]), int(tokens[2]), int(tokens[3])))
-            elif keyword == "classical_bound" and len(tokens) == 2:
-                classical = int(tokens[1])
-            elif keyword == "quantum_value" and len(tokens) == 2:
-                quantum = int(tokens[1])
+                i, j, weight = int(tokens[1]), int(tokens[2]), int(tokens[3])
+                if i >= j:
+                    raise ParseError(number, f"edge ({i}, {j}) is not an ordered vertex pair")
+                if (i, j) in edges:
+                    raise ParseError(number, f"repeated edge ({i}, {j})")
+                edges[i, j] = weight
+            elif keyword in ("classical_bound", "quantum_value") and len(tokens) == 2:
+                if keyword in bounds:
+                    raise ParseError(number, f"repeated '{keyword}' line")
+                bounds[keyword] = int(tokens[1])
             else:
                 raise ParseError(number, f"unrecognized line {content!r}")
         except ParseError:
             raise
         except ValueError as exc:
             raise ParseError(number, str(exc)) from exc
-    if classical is None or quantum is None:
+    if len(bounds) < 2:
         raise ParseError(1, "missing 'classical_bound' or 'quantum_value' line")
     if not terms:
         raise ParseError(1, "no 'term' lines")
     if sorted(terms) != list(range(len(terms))):
         raise ParseError(1, "term vertex indices must cover 0..n-1")
     weights = tuple(terms[i] for i in range(len(terms)))
-    for i, j, _ in edges:
-        if not (0 <= i < len(weights) and 0 <= j < len(weights)):
+    for i, j in edges:
+        if i < 0 or j >= len(weights):
             raise ParseError(1, f"edge ({i}, {j}) references an unknown vertex")
     return Inequality(
         vertex_weights=weights,
-        edge_terms=tuple(sorted(edges)),
-        classical_bound=classical,
-        quantum_value=quantum,
+        edge_terms=tuple(sorted((i, j, w) for (i, j), w in edges.items())),
+        classical_bound=bounds["classical_bound"],
+        quantum_value=bounds["quantum_value"],
     )
 
 
@@ -284,15 +289,19 @@ def _load_instance(path: str) -> ProblemInstance:
 
 
 def _resolve_seed(flag_value: int | None) -> int:
+    """The seed from ``--seed``, else ``KS_CERTIFY_SEED``, else 0; raises
+    ValueError, naming where it came from, unless it is an int >= 0."""
     if flag_value is not None:
-        return flag_value
-    env_value = os.environ.get(SEED_ENV_VAR)
-    if env_value is not None:
-        try:
-            return int(env_value)
-        except ValueError as exc:
-            raise ValueError(f"bad {SEED_ENV_VAR} value {env_value!r}") from exc
-    return 0
+        source, value = "--seed", flag_value
+    else:
+        source, value = SEED_ENV_VAR, os.environ.get(SEED_ENV_VAR, "0")
+    try:
+        seed = int(value)
+    except ValueError as exc:
+        raise ValueError(f"bad {SEED_ENV_VAR} value {value!r}") from exc
+    if seed < 0:
+        raise ValueError(f"{source} {seed} is negative; a seed must be >= 0")
+    return seed
 
 
 def _print_instance_summary(instance: ProblemInstance, out: TextIO) -> None:
@@ -341,13 +350,16 @@ def _cmd_inequality(args: argparse.Namespace, out: TextIO) -> int:
 
 
 def _cmd_evaluate(args: argparse.Namespace, out: TextIO) -> int:
+    # Every argument is checked before the first line is printed.
+    if args.trials < 1:
+        raise ValueError(f"--trials {args.trials} is below 1")
+    seed = _resolve_seed(args.seed) if args.state == "random" else None
     instance = _load_instance(args.file)
     weights = pruned_weights(instance)
     print(f"name {instance.rayset.name}", file=out)
     print(f"state {args.state}", file=out)
     print(f"trials {args.trials}", file=out)
     if args.state == "random":
-        seed = _resolve_seed(args.seed)
         print(f"seed {seed}", file=out)
         states = [StateSpec.random_pure(seed + k) for k in range(args.trials)]
     else:

@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_TOLERANCE, RayVector, canonicalize_ray, is_square_free, signed_gcd
+from .algebra import DEFAULT_TOLERANCE, RayVector, canonicalize_ray, check_discriminant
 
 
 class DuplicateRayError(ValueError):
@@ -52,8 +52,7 @@ class ScalarMode:
         if self.kind not in ("exact", "numeric"):
             raise ValueError(f"unknown scalar mode {self.kind!r}")
         if self.kind == "exact":
-            if not (isinstance(self.disc, int) and is_square_free(self.disc)):
-                raise ValueError(f"discriminant {self.disc} is not a positive square-free integer")
+            check_discriminant(self.disc)
             if self.tol is not None:
                 raise ValueError(f"exact scalar mode takes no tolerance, got {self.tol!r}")
             return
@@ -91,28 +90,6 @@ class RaySet:
     rays: tuple[RayVector, ...]
 
 
-def _colinearity_key(ray: RayVector) -> tuple[tuple[int, int], ...]:
-    """A key shared by exactly the exact rays colinear over Q(sqrt(m)).
-
-    The canonical form only removes rational factors, so (1, 1, 0) and
-    (sqrt(2), sqrt(2), 0) keep distinct canonical forms.  Multiplying by the
-    conjugate a - b*sqrt(m) of the first nonzero coordinate a + b*sqrt(m)
-    turns that coordinate into the nonzero rational a^2 - m*b^2; colinear
-    rays then differ by a rational factor, which ``signed_gcd`` removes.
-    For m = 1 the canonical ray is already that key: its parts have gcd 1
-    and its first nonzero coordinate is positive.
-    """
-    m = ray.disc
-    parts = ray.coords
-    if m == 1:
-        return parts
-    k = next(i for i, p in enumerate(parts) if p != (0, 0))
-    a, b = parts[k]
-    scaled = [(x * a - m * y * b, y * a - x * b) for x, y in parts]
-    g = signed_gcd([v for p in scaled for v in p])
-    return tuple((x // g, y // g) for x, y in scaled)
-
-
 def validate_rayset(rays: Sequence[RayVector], name: str, mode: ScalarMode) -> RaySet:
     """Canonicalize and cross-check candidate rays into a RaySet.
 
@@ -134,12 +111,17 @@ def validate_rayset(rays: Sequence[RayVector], name: str, mode: ScalarMode) -> R
             )
     canonical = tuple(canonicalize_ray(r) for r in rays)
     if mode.is_exact:
+        m = mode.disc
+        # A canonical integer ray is its own colinearity key.  For m > 1 the
+        # canonical form keeps factors such as sqrt(2), which the key removes.
+        keys = [ray.coords for ray in canonical]
+        if m > 1:
+            keys = map(tuple, _colinearity_rows(*_exact_parts(canonical, m), m).tolist())
         seen: dict[tuple, int] = {}
-        for i, ray in enumerate(canonical):
-            key = _colinearity_key(ray)
-            if key in seen:
-                raise DuplicateRayError(seen[key], i)
-            seen[key] = i
+        for i, key in enumerate(keys):
+            first = seen.setdefault(key, i)
+            if first != i:
+                raise DuplicateRayError(first, i)
     else:
         # Canonical numeric rays are unit vectors, so colinearity reads
         # directly off the Gram matrix.  np.nonzero walks the strict lower
@@ -261,11 +243,11 @@ def enumerate_bases(rayset: RaySet, graph: CompatibilityGraph) -> tuple[Basis, .
 
 
 def _colinearity_rows(rat: np.ndarray, irr: np.ndarray, m: int) -> np.ndarray:
-    """``_colinearity_key`` of every ray along the last axis, one void row each.
-
-    The same arithmetic as the scalar key, on int64 arrays of rational and
-    irrational parts: equal rows mean colinear rays over Q(sqrt(m)).
-    """
+    """Per ray along the last axis, a key row shared by exactly the rays
+    colinear over Q(sqrt(m)): the ray times the conjugate of its first
+    nonzero coordinate a + b*sqrt(m), which makes that coordinate the
+    rational a^2 - m*b^2, divided by the row's gcd signed like it.
+    ``rat`` and ``irr`` are the parts as ``_exact_parts`` returns them."""
     first = ((rat != 0) | (irr != 0)).argmax(axis=-1)[..., None]
     a = np.take_along_axis(rat, first, -1)
     b = np.take_along_axis(irr, first, -1)
@@ -273,7 +255,7 @@ def _colinearity_rows(rat: np.ndarray, irr: np.ndarray, m: int) -> np.ndarray:
     key = np.concatenate([x, irr * a - rat * b], axis=-1)
     g = np.gcd.reduce(key, axis=-1, keepdims=True)
     key //= np.where(np.take_along_axis(x, first, -1) < 0, -g, g)
-    return key.view(f"V{key.shape[-1] * key.itemsize}")[..., 0]
+    return key
 
 
 def symmetries(rayset: RaySet) -> tuple[tuple[int, ...], ...]:
@@ -300,7 +282,15 @@ def symmetries(rayset: RaySet) -> tuple[tuple[int, ...], ...]:
     rat, irr = _exact_parts(rayset.rays, m)
     if rat.dtype == object:
         return (identity,)
-    index = {key: i for i, key in enumerate(_colinearity_rows(rat, irr, m).tolist())}
+
+    def void_rows(key: np.ndarray) -> np.ndarray:
+        # Each key row as one void scalar, hashed and compared as bytes.  The
+        # view needs C order, which fancy indexing by a single element's
+        # permutation does not give.
+        key = np.ascontiguousarray(key)
+        return key.view(f"V{key.shape[-1] * key.itemsize}")[..., 0]
+
+    index = {key: i for i, key in enumerate(void_rows(_colinearity_rows(rat, irr, m)).tolist())}
     elements = [
         ((1, *signs), perm)
         for perm in itertools.permutations(range(d))
@@ -310,8 +300,8 @@ def symmetries(rayset: RaySet) -> tuple[tuple[int, ...], ...]:
     def image_keys(rays: slice, elements: list) -> list[list[bytes]]:
         """Per element, the keys of the images of the rays."""
         signs, perms = (np.array(column) for column in zip(*elements))
-        keys = _colinearity_rows(rat[rays][:, perms] * signs, irr[rays][:, perms] * signs, m)
-        return keys.T.tolist()
+        key = _colinearity_rows(rat[rays][:, perms] * signs, irr[rays][:, perms] * signs, m)
+        return void_rows(key).T.tolist()
 
     # Try every element on the first rays, then the survivors on all of them.
     head = image_keys(slice(8), elements)

@@ -1,10 +1,11 @@
 """Independent oracles that the library is checked against.
 
 The independence-number oracles read only ``graph.edges``, never the
-solver's own neighbour masks; the operator-sum oracle reads only the ray
-coordinates.  None shares code with ``kscertify.inequality``.  The
-colorability oracle hands the bases and ``graph.edges`` to HiGHS and shares
-no code with ``kscertify.coloring``.
+solver's own neighbour masks; the operator-sum and colinearity oracles
+read only the ray coordinates.  None shares code with
+``kscertify.inequality`` or with the colinearity key of
+``kscertify.rayset``.  The colorability oracle hands the bases and
+``graph.edges`` to HiGHS and shares no code with ``kscertify.coloring``.
 """
 
 from __future__ import annotations
@@ -95,24 +96,41 @@ def networkx_alpha(graph: CompatibilityGraph, weights) -> int:
     return int(weight)
 
 
+def _fraction_key(vector, m):
+    """An exact vector of (a, b) int pairs over Z[sqrt(m)] divided by its
+    first nonzero coordinate, computed in Q(sqrt(m)) with Fraction pairs:
+    equal for exactly the vectors colinear over Q(sqrt(m))."""
+    c, e = next(x for x in vector if x != (0, 0))
+    norm = c * c - m * e * e
+    return tuple(
+        (Fraction(a * c - m * b * e, norm), Fraction(b * c - a * e, norm))
+        for a, b in vector
+    )
+
+
+def fraction_duplicate_pair(rays, m) -> tuple[int, int] | None:
+    """The first colinear pair (i, j) of exact rays, scanning j upward and
+    then i < j upward; None when no two rays are colinear over Q(sqrt(m))."""
+    keys = [_fraction_key(ray.coords, m) for ray in rays]
+    for j in range(len(keys)):
+        for i in range(j):
+            if keys[i] == keys[j]:
+                return i, j
+    return None
+
+
 def signed_permutation_group(rayset) -> set[tuple[int, ...]]:
     """Every vertex permutation induced by a signed coordinate permutation
     that maps an exact ray set onto itself.
 
-    Each ray is identified by itself divided by its first nonzero
-    coordinate, computed in Q(sqrt(m)) with Fractions; all 2^d d! signed
+    Each ray is identified by ``_fraction_key``; all 2^d d! signed
     permutations are tried on every ray.
     """
     m = rayset.mode.disc
     d = rayset.dimension
 
     def key(vector):
-        c, e = next(x for x in vector if x != (0, 0))
-        norm = c * c - m * e * e
-        return tuple(
-            (Fraction(a * c - m * b * e, norm), Fraction(b * c - a * e, norm))
-            for a, b in vector
-        )
+        return _fraction_key(vector, m)
 
     vectors = [ray.coords for ray in rayset.rays]
     index = {key(v): i for i, v in enumerate(vectors)}

@@ -38,6 +38,15 @@ class TestRayVector:
         with pytest.raises(ValueError, match="square-free"):
             exact_ray([(1, 1), 0, 0], disc=m)
 
+    @pytest.mark.parametrize("m", [2**31, 2**31 + 11, 10**18 + 3, 10**40])
+    def test_discriminant_bound(self, m):
+        with pytest.raises(ValueError, match=rf"discriminant {m} is not below 2\*\*31"):
+            exact_ray([1, 0, 0], m)
+
+    def test_largest_discriminant_accepted(self):
+        # 2**31 - 1 is prime, so square-free.
+        assert exact_ray([1, 0, 0], 2**31 - 1).disc == 2**31 - 1
+
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero vector"):
             exact_ray([0, 0, 0], disc=2)

@@ -212,22 +212,31 @@ def test_bad_dim_names_its_line(d, message, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+NOT_SQUARE_FREE = "is not a positive square-free integer"
+
+
 @pytest.mark.parametrize(
-    "m, rays",
+    "m, rays, reason",
     [
-        (4, "ray 1 0 0\nray 0 1 0\n"),
-        (4, "ray 1 0 x\nray 0 1 0\n"),
-        (0, "ray 0 0 0\nray 0 1 0\n"),
-        (4, ""),
-        (-3, ""),
+        (4, "ray 1 0 0\nray 0 1 0\n", NOT_SQUARE_FREE),
+        (4, "ray 1 0 x\nray 0 1 0\n", NOT_SQUARE_FREE),
+        (0, "ray 0 0 0\nray 0 1 0\n", NOT_SQUARE_FREE),
+        (4, "", NOT_SQUARE_FREE),
+        (-3, "", NOT_SQUARE_FREE),
+        # Past 2**31 the trial division for square factors would stall.
+        (1000000000000000003, "ray 1 0 0\n", "is not below 2**31"),
     ],
 )
-def test_bad_discriminant_names_the_scalar_line(m, rays):
+def test_bad_discriminant_names_the_scalar_line(m, rays, reason, tmp_path, capsys):
     text = f"ksset 1\nname t\ndim 3\nscalar quad {m}\n{rays}"
     with pytest.raises(ParseError) as info:
         parse_rayset(text)
-    message = f"line 4: discriminant {m} is not a positive square-free integer"
+    message = f"line 4: discriminant {m} {reason}"
     assert (info.value.line_number, str(info.value)) == (4, message)
+    path = tmp_path / "bad.ks"
+    path.write_text(text, encoding="utf-8")
+    assert run(["verify", str(path)]) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_unicode_decimal_digits_are_digits():
@@ -316,6 +325,19 @@ def test_parse_missing_sections():
         parse_rayset("ksset 1\nname t\n")
     with pytest.raises(ParseError, match="no 'ray' lines"):
         parse_rayset("ksset 1\nname t\ndim 3\nscalar int\n")
+    for text, line, message in [
+        ("ksset 1\nname t\ndim 3\n", 3, "missing 'scalar' directive"),
+        ("ksset 1\nname a\nname b\n", 3, "repeated 'name' directive"),
+        ("ksset 1\ndim 3\n# dim 4\ndim 3\n", 4, "repeated 'dim' directive"),
+        ("ksset 1\nscalar int\nscalar quad 2\n", 3, "repeated 'scalar' directive"),
+        ("ksset 1\nname\n", 2, "'name' directive needs a value"),
+        ("ksset 1\ndim 3\nscalar numeric abc\n", 3, "bad tolerance 'abc'"),
+        ("ksset 1\ndim 3\nscalar float\n", 3, "'scalar' directive must be 'int', "),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_rayset(text)
+        assert info.value.line_number == line
+        assert str(info.value).startswith(f"line {line}: {message}")
 
 
 def test_parse_unknown_directive():
@@ -379,6 +401,24 @@ def test_parse_inequality_errors():
         parse_inequality("term 0 1\nedge 0 5 1\nclassical_bound 1\nquantum_value 1\n")
     with pytest.raises(ParseError, match="unrecognized line"):
         parse_inequality("bound 3\n")
+    # Each of these is a line that emit_inequality never writes.
+    terms = "term 0 1\nterm 1 1\n"
+    bounds = "classical_bound 1\nquantum_value 1\n"
+    for text, line, message in [
+        (terms + "classical_bound 1\nclassical_bound 0\nquantum_value 1\n", 4,
+         "repeated 'classical_bound' line"),
+        (terms + bounds + "quantum_value 2\n", 5, "repeated 'quantum_value' line"),
+        (terms + "edge 0 0 1\n" + bounds, 3, "edge (0, 0) is not an ordered vertex pair"),
+        (terms + "edge 1 0 1\n" + bounds, 3, "edge (1, 0) is not an ordered vertex pair"),
+        (terms + "edge 0 1 1\nedge 0 1 1\n" + bounds, 4, "repeated edge (0, 1)"),
+        ("term 0 -1\n" + bounds, 1, "negative weight -1 for vertex 0"),
+        ("term 0 1\nterm x 1\n" + bounds, 2, "invalid literal for int()"),
+        ("# bounds only\n" + bounds, 1, "no 'term' lines"),
+    ]:
+        with pytest.raises(ParseError) as info:
+            parse_inequality(text)
+        assert info.value.line_number == line
+        assert str(info.value).startswith(f"line {line}: {message}")
 
 
 # ------------------------------------------------------------ subcommands
@@ -495,6 +535,31 @@ def test_flags_do_not_leak_between_commands(peres_file, monkeypatch):
     _, original = run(["verify", peres_file])
     assert "mode extended" in extended.splitlines()
     assert "mode original" in original.splitlines()
+
+
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_evaluate_rejects_trials_below_one(peres_file, trials, capsys):
+    # No state tried is no evidence: max_deviation 0.0 would read as a pass.
+    assert run(["evaluate", peres_file, "--trials", trials]) == (2, "")
+    assert capsys.readouterr().err == f"error: --trials {trials} is below 1\n"
+
+
+@pytest.mark.parametrize(
+    "flag, env, message",
+    [
+        (["--seed", "-1"], None, "--seed -1 is negative; a seed must be >= 0"),
+        (["--seed", "-1"], "7", "--seed -1 is negative; a seed must be >= 0"),
+        ([], "-2", "KS_CERTIFY_SEED -2 is negative; a seed must be >= 0"),
+        ([], "abc", "bad KS_CERTIFY_SEED value 'abc'"),
+    ],
+)
+def test_evaluate_bad_seed_prints_nothing(peres_file, monkeypatch, capsys, flag, env, message):
+    if env is None:
+        monkeypatch.delenv("KS_CERTIFY_SEED", raising=False)
+    else:
+        monkeypatch.setenv("KS_CERTIFY_SEED", env)
+    assert run(["evaluate", peres_file, "--state", "random"] + flag) == (2, "")
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 def test_evaluate_same_seed_same_output(peres_file):

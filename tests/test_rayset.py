@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import itertools
 import math
 import random
@@ -10,9 +11,16 @@ import numpy as np
 import pytest
 
 from conftest import make_integer_family, make_quadratic_family, transformed
-from kscertify.algebra import DEFAULT_TOLERANCE, exact_ray, is_orthogonal, numeric_ray
+from kscertify.algebra import (
+    DEFAULT_TOLERANCE,
+    RayVector,
+    canonicalize_ray,
+    exact_ray,
+    is_orthogonal,
+    numeric_ray,
+)
 from kscertify.catalog import catalog_entries, load_rayset
-from kscertify.inequality import compute_weights, weighted_independence_number
+from kscertify.inequality import build_inequality, compute_weights, weighted_independence_number
 from kscertify.rayset import (
     CompatibilityGraph,
     DuplicateRayError,
@@ -28,7 +36,7 @@ from kscertify.rayset import (
     symmetries,
     validate_rayset,
 )
-from oracles import signed_permutation_group
+from oracles import fraction_duplicate_pair, signed_permutation_group
 
 E2 = ScalarMode.exact(2)
 
@@ -108,6 +116,39 @@ class TestValidate:
                 mode=E2,
             )
 
+    def test_exact_duplicates_match_the_fraction_oracle(self):
+        # Seeded lists over m in {1, 2, 3, 5, 6, 7} and d in {3, 4}.  About a
+        # quarter of the rays are Q(sqrt(m))-multiples of earlier ones; in
+        # one list out of five the factor has a part near 2**40, which the
+        # canonical form keeps, so the keys of m > 1 go past the int64 guard
+        # of _exact_parts to Python ints.
+        seen = collections.Counter()
+        for seed in range(600):
+            rng = random.Random(seed)
+            m, d = rng.choice((1, 2, 3, 5, 6, 7)), rng.choice((3, 4))
+            big = 2**40 if rng.random() < 0.2 else 0
+            rays = []
+            for _ in range(rng.randint(3, 12)):
+                if rays and rng.random() < 0.25:
+                    c, e = rng.choice(((2, -1), (0, 1), (-3, 0), (1, 2), (1, 1)))
+                    c += big
+                    coords = [(a * c + m * b * e, a * e + b * c) for a, b in rng.choice(rays).coords]
+                else:
+                    coords = [(rng.randint(-2, 2), rng.randint(-2, 2)) for _ in range(d)]
+                if any(a or b for a, b in coords) and (m > 1 or any(a + b for a, b in coords)):
+                    rays.append(RayVector(tuple(coords), m))
+            expected = fraction_duplicate_pair(rays, m)
+            try:
+                validate_rayset(rays, name="r", mode=ScalarMode.exact(m))
+                found = None
+            except DuplicateRayError as err:
+                found = (err.index_a, err.index_b)
+            assert found == expected, seed
+            seen["duplicate" if expected else "distinct"] += 1
+            rat, _ = _exact_parts([canonicalize_ray(r) for r in rays], m)
+            seen["object"] += m > 1 and rat.dtype == object
+        assert min(seen.values()) >= 40, seen
+
     def test_numeric_near_duplicates_rejected(self):
         with pytest.raises(DuplicateRayError):
             validate_rayset(
@@ -146,10 +187,18 @@ class TestValidate:
         with pytest.raises(ValueError, match="tolerance"):
             ScalarMode.numeric(tol)
 
-    @pytest.mark.parametrize("mode", [("exact", 4), ("exact", 0), ("exact", -3), ("exact", None)])
+    @pytest.mark.parametrize(
+        "mode", [("exact", 4), ("exact", 0), ("exact", -3), ("exact", None), ("exact", True)]
+    )
     def test_bad_discriminant_rejected(self, mode):
         with pytest.raises(ValueError, match="is not a positive square-free integer"):
             ScalarMode(*mode)
+
+    def test_discriminant_bound(self):
+        with pytest.raises(ValueError, match=r"discriminant 2147483648 is not below 2\*\*31"):
+            ScalarMode.exact(2**31)
+        # 2**31 - 1 is prime.
+        assert ScalarMode.exact(2**31 - 1).disc == 2**31 - 1
 
     @pytest.mark.parametrize(
         "mode, message",
@@ -489,6 +538,22 @@ class TestSymmetries:
         rng = random.Random(seed)
         family = make_integer_family(3, (1, 2, 4 if seed % 2 else 3))
         rayset = transformed(family, rng, keep=rng.uniform(0.7, 0.9))
+        assert symmetries(rayset) == (tuple(range(len(rayset.rays))),)
+
+    @pytest.mark.parametrize("seed", [43, 85])
+    def test_identity_alone_surviving_the_first_rays(self, seed):
+        # Only the identity maps the first rays into the set, so the keys of
+        # the whole set are computed for one element.
+        rng = random.Random(seed)
+        rayset = transformed(make_integer_family(3, (1, 2)), rng, keep=rng.uniform(0.7, 0.99))
+        assert symmetries(rayset) == (tuple(range(len(rayset.rays))),)
+        assert signed_permutation_group(rayset) == {tuple(range(len(rayset.rays)))}
+        pruned = prune_unbased(build_instance(rayset))
+        assert build_inequality(pruned).quantum_value == pruned.n_bases
+
+    def test_parts_past_the_int64_guard_get_the_trivial_group(self):
+        rayset = make_integer_family(3, (1, 2**32))
+        assert _exact_parts(rayset.rays, 1)[0].dtype == object
         assert symmetries(rayset) == (tuple(range(len(rayset.rays))),)
 
     def test_numeric_and_high_dimension_sets_get_the_trivial_group(self):
