@@ -25,6 +25,13 @@ from .coloring import (
     is_ks_set,
     verify_assignment,
 )
+from .formats import (
+    ParseError,
+    emit_inequality,
+    emit_rayset,
+    parse_inequality,
+    parse_rayset,
+)
 from .inequality import (
     Inequality,
     StateSpec,
@@ -91,7 +98,6 @@ __all__ = [
     "parse_rayset",
     "prune_unbased",
     "quantum_value",
-    "run_command",
     "symmetries",
     "validate_rayset",
     "verify_assignment",
@@ -100,24 +106,3 @@ __all__ = [
 
 __version__ = "0.1.0"
 
-# The CLI module is loaded on first use (PEP 562), so that
-# ``python -m kscertify.cli`` does not find it already imported.
-_CLI_NAMES = (
-    "ParseError",
-    "emit_inequality",
-    "emit_rayset",
-    "parse_inequality",
-    "parse_rayset",
-    "run_command",
-)
-
-
-def __getattr__(name: str):
-    if name not in _CLI_NAMES:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    from . import cli
-
-    # Bind every CLI name at once, so that each later lookup is a plain
-    # module attribute holding the object the CLI module held at this point.
-    globals().update({n: getattr(cli, n) for n in _CLI_NAMES})
-    return globals()[name]

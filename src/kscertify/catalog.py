@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from importlib import resources
 
+from .formats import parse_rayset
 from .rayset import RaySet
 
 _DATA_PACKAGE = "kscertify.data"
@@ -124,6 +125,4 @@ def load_text(entry_id: str) -> str:
 
 def load_rayset(entry_id: str) -> RaySet:
     """Parse one bundled entry into a RaySet."""
-    from .cli import parse_rayset
-
     return parse_rayset(load_text(entry_id))

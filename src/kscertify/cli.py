@@ -1,18 +1,8 @@
-"""Command-line front end and flat-file formats for ray sets and inequalities.
-
-The ray-set format is line oriented: a header ``ksset 1``, then ``name``,
-``dim`` and ``scalar`` directives, then one ``ray`` line per ray.  Exact
-components are written ``a`` or ``a:b`` (meaning a + b*sqrt(m) for the
-declared discriminant m); numeric components are plain floats.  ``#`` starts
-a comment.  Files re-emitted by :func:`emit_rayset` are in canonical form:
-directives in a fixed order and every ray canonicalized.
-
-The inequality format lists ``term <i> <w_i>`` and ``edge <i> <j> <w_ij>``
-lines followed by ``classical_bound`` and ``quantum_value``; it round-trips
-losslessly through :func:`parse_inequality`.
+"""Command-line front end.
 
 Subcommands: ``verify``, ``inequality``, ``evaluate``, ``info``, ``prune``,
-``catalog list`` and ``catalog get``.  Exit codes: 0 on success (for
+``catalog list`` and ``catalog get``; the files they read and write are in
+the formats of :mod:`kscertify.formats`.  Exit codes: 0 on success (for
 ``verify``: the set is a KS set), 1 when ``verify`` finds a coloring, 2 on
 I/O, parse, or usage errors.  Random evaluation is seeded via ``--seed``,
 the ``KS_CERTIFY_SEED`` environment variable, or 0, in that order.
@@ -23,269 +13,27 @@ from __future__ import annotations
 import argparse
 import functools
 import os
-import re
 import sys
+from pathlib import Path
 from typing import Sequence, TextIO
 
-from .algebra import RayVector
 from .catalog import catalog_entries, get_entry, load_text
 from .coloring import DefinitionMode, check_colorable
-from .inequality import (
-    Inequality,
-    StateSpec,
-    build_inequality,
-    pruned_weights,
-    quantum_value,
+from .formats import (
+    emit_inequality,
+    emit_rayset,
+    format_ray,
+    format_scalar_mode,
+    parse_rayset,
 )
-from .rayset import (
-    DuplicateRayError,
-    ProblemInstance,
-    RaySet,
-    ScalarMode,
-    build_instance,
-    covered_vertices,
-    prune_unbased,
-    validate_rayset,
-)
+from .inequality import StateSpec, build_inequality, pruned_weights, quantum_value
+from .rayset import ProblemInstance, build_instance, covered_vertices, prune_unbased
 
-FORMAT_HEADER = "ksset 1"
 SEED_ENV_VAR = "KS_CERTIFY_SEED"
-
-_EXACT_COMPONENT = re.compile(r"^([+-]?\d+)(?::([+-]?\d+))?$")
-
-
-class ParseError(ValueError):
-    """A malformed line in a ray-set or inequality file."""
-
-    def __init__(self, line_number: int, message: str) -> None:
-        super().__init__(f"line {line_number}: {message}")
-        self.line_number = line_number
-
-
-def _significant_lines(text: str) -> list[tuple[int, str]]:
-    """Strip comments and blanks; yield (1-based line number, content)."""
-    lines = []
-    for number, raw in enumerate(text.splitlines(), start=1):
-        content = raw.split("#", 1)[0].strip()
-        if content:
-            lines.append((number, content))
-    return lines
-
-
-def _parse_exact_component(token: str, number: int) -> tuple[int, int]:
-    # str.isdecimal accepts exactly the characters that \d matches.
-    if (token[1:] if token[0] in "+-" else token).isdecimal():
-        return int(token), 0
-    match = _EXACT_COMPONENT.match(token)
-    if match is None:
-        raise ParseError(number, f"bad component {token!r}; expected 'a' or 'a:b'")
-    rat = int(match.group(1))
-    irr = int(match.group(2)) if match.group(2) is not None else 0
-    return rat, irr
-
-
-def parse_rayset(text: str) -> RaySet:
-    """Parse ray-set file text into a validated, canonicalized RaySet.
-
-    Raises ParseError (naming the offending line) for an unknown header,
-    unknown or repeated directives, a dimension below 3, bad component
-    syntax, a wrong component count, or a zero or non-finite ray, and
-    re-raises duplicate-ray errors from validation with the line number of
-    the second copy.
-    """
-    lines = _significant_lines(text)
-    if not lines:
-        raise ParseError(1, "empty file; expected header 'ksset 1'")
-    header_number, header = lines[0]
-    if header != FORMAT_HEADER:
-        raise ParseError(header_number, f"unknown format version {header!r}; expected 'ksset 1'")
-
-    name: str | None = None
-    dimension: int | None = None
-    mode: ScalarMode | None = None
-    rays: list[RayVector] = []
-    ray_lines: list[int] = []
-
-    for number, content in lines[1:]:
-        tokens = content.split()
-        keyword = tokens[0]
-        if keyword == "name":
-            if name is not None:
-                raise ParseError(number, "repeated 'name' directive")
-            if len(tokens) < 2:
-                raise ParseError(number, "'name' directive needs a value")
-            name = " ".join(tokens[1:])
-        elif keyword == "dim":
-            if dimension is not None:
-                raise ParseError(number, "repeated 'dim' directive")
-            if len(tokens) != 2 or not tokens[1].isdecimal():
-                raise ParseError(number, "'dim' directive needs one integer")
-            dimension = int(tokens[1])
-            if dimension < 3:
-                raise ParseError(number, f"dimension {dimension} is below 3")
-        elif keyword == "scalar":
-            if mode is not None:
-                raise ParseError(number, "repeated 'scalar' directive")
-            if len(tokens) == 2 and tokens[1] == "int":
-                mode = ScalarMode.integer()
-            elif len(tokens) == 3 and tokens[1] == "quad":
-                try:
-                    mode = ScalarMode.exact(int(tokens[2]))
-                except ValueError as exc:
-                    raise ParseError(number, str(exc)) from exc
-            elif len(tokens) == 3 and tokens[1] == "numeric":
-                try:
-                    tol = float(tokens[2])
-                except ValueError as exc:
-                    raise ParseError(number, f"bad tolerance {tokens[2]!r}") from exc
-                try:
-                    mode = ScalarMode.numeric(tol)
-                except ValueError as exc:
-                    raise ParseError(number, str(exc)) from exc
-            else:
-                raise ParseError(
-                    number,
-                    "'scalar' directive must be 'int', 'quad <m>' or 'numeric <tol>'",
-                )
-        elif keyword == "ray":
-            if dimension is None:
-                raise ParseError(number, "'ray' line before 'dim' directive")
-            if mode is None:
-                raise ParseError(number, "'ray' line before 'scalar' directive")
-            components = tokens[1:]
-            if len(components) != dimension:
-                raise ParseError(
-                    number,
-                    f"expected {dimension} components, got {len(components)}",
-                )
-            try:
-                if mode.is_exact:
-                    coords = tuple(_parse_exact_component(tok, number) for tok in components)
-                else:
-                    coords = tuple(float(tok) for tok in components)
-                ray = RayVector(coords, mode.disc)
-            except ParseError:
-                raise
-            except ValueError as exc:
-                raise ParseError(number, str(exc)) from exc
-            rays.append(ray)
-            ray_lines.append(number)
-        else:
-            raise ParseError(number, f"unknown directive {keyword!r}")
-
-    if dimension is None:
-        raise ParseError(lines[-1][0], "missing 'dim' directive")
-    if mode is None:
-        raise ParseError(lines[-1][0], "missing 'scalar' directive")
-    if not rays:
-        raise ParseError(lines[-1][0], "no 'ray' lines")
-    try:
-        return validate_rayset(rays, name=name or "unnamed", mode=mode)
-    except DuplicateRayError as exc:
-        raise ParseError(ray_lines[exc.index_b], str(exc)) from exc
-
-
-def _format_exact(pair: tuple[int, int]) -> str:
-    rat, irr = pair
-    return str(rat) if irr == 0 else f"{rat}:{irr}"
-
-
-def _format_scalar_mode(mode: ScalarMode) -> str:
-    if mode.is_exact:
-        return "scalar int" if mode.disc == 1 else f"scalar quad {mode.disc}"
-    return f"scalar numeric {mode.tol!r}"
-
-
-def _ray_text(rayset: RaySet, index: int) -> str:
-    ray = rayset.rays[index]
-    if rayset.mode.is_exact:
-        return " ".join(_format_exact(c) for c in ray.coords)
-    return " ".join(repr(c) for c in ray.coords)
-
-
-def emit_rayset(rayset: RaySet) -> str:
-    """Serialize a RaySet in canonical form; inverse of parse_rayset."""
-    lines = [FORMAT_HEADER, f"name {rayset.name}", f"dim {rayset.dimension}"]
-    lines.append(_format_scalar_mode(rayset.mode))
-    lines.extend(f"ray {_ray_text(rayset, i)}" for i in range(len(rayset.rays)))
-    return "\n".join(lines) + "\n"
-
-
-def parse_inequality(text: str) -> Inequality:
-    """Parse inequality file text; inverse of emit_inequality, so a line
-    that it never writes raises ParseError."""
-    terms: dict[int, int] = {}
-    edges: dict[tuple[int, int], int] = {}
-    bounds: dict[str, int] = {}
-    for number, content in _significant_lines(text):
-        tokens = content.split()
-        keyword = tokens[0]
-        try:
-            if keyword == "term" and len(tokens) == 3:
-                index, weight = int(tokens[1]), int(tokens[2])
-                if index in terms:
-                    raise ParseError(number, f"repeated term for vertex {index}")
-                if weight < 0:
-                    raise ParseError(number, f"negative weight {weight} for vertex {index}")
-                terms[index] = weight
-            elif keyword == "edge" and len(tokens) == 4:
-                i, j, weight = int(tokens[1]), int(tokens[2]), int(tokens[3])
-                if i >= j:
-                    raise ParseError(number, f"edge ({i}, {j}) is not an ordered vertex pair")
-                if (i, j) in edges:
-                    raise ParseError(number, f"repeated edge ({i}, {j})")
-                edges[i, j] = weight
-            elif keyword in ("classical_bound", "quantum_value") and len(tokens) == 2:
-                if keyword in bounds:
-                    raise ParseError(number, f"repeated '{keyword}' line")
-                bounds[keyword] = int(tokens[1])
-            else:
-                raise ParseError(number, f"unrecognized line {content!r}")
-        except ParseError:
-            raise
-        except ValueError as exc:
-            raise ParseError(number, str(exc)) from exc
-    if len(bounds) < 2:
-        raise ParseError(1, "missing 'classical_bound' or 'quantum_value' line")
-    if not terms:
-        raise ParseError(1, "no 'term' lines")
-    if sorted(terms) != list(range(len(terms))):
-        raise ParseError(1, "term vertex indices must cover 0..n-1")
-    weights = tuple(terms[i] for i in range(len(terms)))
-    for i, j in edges:
-        if i < 0 or j >= len(weights):
-            raise ParseError(1, f"edge ({i}, {j}) references an unknown vertex")
-    return Inequality(
-        vertex_weights=weights,
-        edge_terms=tuple(sorted((i, j, w) for (i, j), w in edges.items())),
-        classical_bound=bounds["classical_bound"],
-        quantum_value=bounds["quantum_value"],
-    )
-
-
-def emit_inequality(inequality: Inequality) -> str:
-    """Serialize an inequality: term lines, edge lines, then the two bounds."""
-    lines = [
-        f"term {i} {w}" for i, w in enumerate(inequality.vertex_weights)
-    ]
-    lines.extend(f"edge {i} {j} {w}" for i, j, w in inequality.edge_terms)
-    lines.append(f"classical_bound {inequality.classical_bound}")
-    lines.append(f"quantum_value {inequality.quantum_value}")
-    return "\n".join(lines) + "\n"
-
-
-def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
-
-
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
 
 
 def _load_instance(path: str) -> ProblemInstance:
-    return build_instance(parse_rayset(_read_text(path)))
+    return build_instance(parse_rayset(Path(path).read_text(encoding="utf-8")))
 
 
 def _resolve_seed(flag_value: int | None) -> int:
@@ -328,7 +76,7 @@ def _cmd_verify(args: argparse.Namespace, out: TextIO) -> int:
     print("witness " + " ".join(str(v) for v in witness), file=out)
     for index, value in enumerate(witness):
         if value == 1:
-            print(f"one {index} ray {_ray_text(instance.rayset, index)}", file=out)
+            print(f"one {index} ray {format_ray(instance.rayset.rays[index])}", file=out)
     return 1
 
 
@@ -339,7 +87,7 @@ def _cmd_inequality(args: argparse.Namespace, out: TextIO) -> int:
     if args.out is None:
         out.write(text)
         return 0
-    _write_text(args.out, text)
+    Path(args.out).write_text(text, encoding="utf-8")
     _print_instance_summary(instance, out)
     print(f"classical_bound {inequality.classical_bound}", file=out)
     print(f"quantum_value {inequality.quantum_value}", file=out)
@@ -378,12 +126,12 @@ def _cmd_info(args: argparse.Namespace, out: TextIO) -> int:
     instance = _load_instance(args.file)
     rayset = instance.rayset
     _print_instance_summary(instance, out)
-    print(_format_scalar_mode(rayset.mode), file=out)
+    print(format_scalar_mode(rayset.mode), file=out)
     covered = set(covered_vertices(instance))
     print(f"based_rays {len(covered)}", file=out)
-    for index in range(len(rayset.rays)):
+    for index, ray in enumerate(rayset.rays):
         based = "yes" if index in covered else "no"
-        print(f"ray {index} {_ray_text(rayset, index)} based {based}", file=out)
+        print(f"ray {index} {format_ray(ray)} based {based}", file=out)
     return 0
 
 
@@ -396,7 +144,7 @@ def _cmd_prune(args: argparse.Namespace, out: TextIO) -> int:
         out.write(text)
         print(f"removed {removed} rays", file=sys.stderr)
         return 0
-    _write_text(args.out, text)
+    Path(args.out).write_text(text, encoding="utf-8")
     _print_instance_summary(pruned, out)
     print(f"removed {removed}", file=out)
     print(f"written {args.out}", file=out)

@@ -8,8 +8,8 @@ import pytest
 
 from kscertify.algebra import is_orthogonal, numeric_ray
 from kscertify.catalog import catalog_entries, get_entry, load_rayset, load_text
-from kscertify.cli import emit_rayset, parse_rayset
 from kscertify.coloring import DefinitionMode, check_colorable
+from kscertify.formats import emit_rayset, parse_rayset
 from kscertify.inequality import (
     build_inequality,
     compute_weights,

@@ -13,17 +13,17 @@ import pytest
 
 import kscertify
 from kscertify.catalog import load_rayset, load_text
-from kscertify.cli import (
+from kscertify.cli import run_command
+from kscertify.coloring import DefinitionMode, verify_assignment
+from kscertify.inequality import build_inequality
+from kscertify.algebra import exact_ray, numeric_ray
+from kscertify.formats import (
     ParseError,
     emit_inequality,
     emit_rayset,
     parse_inequality,
     parse_rayset,
-    run_command,
 )
-from kscertify.coloring import DefinitionMode, verify_assignment
-from kscertify.inequality import build_inequality
-from kscertify.algebra import exact_ray, numeric_ray
 from kscertify.rayset import DuplicateRayError, ScalarMode, build_instance, validate_rayset
 
 MINIMAL = """\
@@ -268,15 +268,29 @@ def test_parse_bad_numeric_tolerance_names_line(tol, tmp_path, capsys):
     assert "line 4: numeric tolerance" in capsys.readouterr().err
 
 
+def _run_python(args, **kwargs):
+    """Run a fresh interpreter that imports kscertify from this source tree."""
+    src = str(Path(kscertify.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120, **kwargs
+    )
+
+
 def test_public_names_resolve():
-    """Every name in ``__all__`` exists, the lazy CLI names included."""
+    """Every name in ``__all__`` exists, and loading a catalog set through
+    the package imports neither the CLI module nor argparse."""
     for name in kscertify.__all__:
         getattr(kscertify, name)
     namespace: dict = {}
     exec("from kscertify import *", namespace)
     assert set(kscertify.__all__) <= namespace.keys()
-    for name in kscertify._CLI_NAMES:
-        assert namespace[name] is getattr(kscertify.cli, name)
+    proc = _run_python([
+        "-c",
+        "import sys, kscertify; kscertify.load_rayset('peres-33'); "
+        "print(sorted({'kscertify.cli', 'argparse'} & sys.modules.keys()))",
+    ], check=True)
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("module", ["kscertify", "kscertify.cli"])
@@ -286,12 +300,7 @@ def test_python_dash_m_runs_the_cli(module, tmp_path):
         "ksset 1\nname t\ndim 3\nscalar numeric nan\nray 1 0 0\nray 0 1 0\nray 0 0 1\n",
         encoding="utf-8",
     )
-    src = str(Path(kscertify.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-    proc = subprocess.run(
-        [sys.executable, "-m", module, "verify", str(path)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    proc = _run_python(["-m", module, "verify", str(path)])
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "line 4: numeric tolerance" in proc.stderr
@@ -332,6 +341,7 @@ def test_parse_missing_sections():
         ("ksset 1\nscalar int\nscalar quad 2\n", 3, "repeated 'scalar' directive"),
         ("ksset 1\nname\n", 2, "'name' directive needs a value"),
         ("ksset 1\ndim 3\nscalar numeric abc\n", 3, "bad tolerance 'abc'"),
+        ("ksset 1\ndim 3\nscalar quad 0_2\n", 3, "invalid literal for int() with base 10: '0_2'"),
         ("ksset 1\ndim 3\nscalar float\n", 3, "'scalar' directive must be 'int', "),
     ]:
         with pytest.raises(ParseError) as info:
@@ -414,11 +424,42 @@ def test_parse_inequality_errors():
         ("term 0 -1\n" + bounds, 1, "negative weight -1 for vertex 0"),
         ("term 0 1\nterm x 1\n" + bounds, 2, "invalid literal for int()"),
         ("# bounds only\n" + bounds, 1, "no 'term' lines"),
+        (terms + "classical_bound 5\nquantum_value 1\n", 3,
+         "classical bound cannot exceed the quantum value"),
+        (terms + "quantum_value 1\n# x\nclassical_bound 2\n", 5,
+         "classical bound cannot exceed the quantum value"),
+        (terms + "edge 0 1 1\nedge 0 2 1\n" + bounds, 4, "edge (0, 2) references an unknown vertex"),
+        (terms + "edge -1 1 1\n" + bounds, 3, "edge (-1, 1) references an unknown vertex"),
+        (terms + "\nedge 0 1 0\n" + bounds, 4, "edge weight 0 on (0, 1) is below max(w_i, w_j)"),
+        ("term 0 1\nterm 2 1\n" + bounds, 2,
+         "term vertex 2 is outside 0..1; term vertex indices must cover 0..n-1"),
+        ("term 1 1\nterm 0 1\nterm -1 1\n" + bounds, 3, "term vertex -1 is outside 0..2"),
     ]:
         with pytest.raises(ParseError) as info:
             parse_inequality(text)
         assert info.value.line_number == line
         assert str(info.value).startswith(f"line {line}: {message}")
+
+
+INEQUALITY_TEXT = "term 0 1\nterm 1 1\nedge 0 1 1\nclassical_bound 1\nquantum_value 2\n"
+
+
+@pytest.mark.parametrize(
+    "row, column",
+    [(0, 1), (0, 2), (2, 1), (2, 2), (2, 3), (3, 1), (4, 1)],
+    ids=["term-vertex", "term-weight", "edge-i", "edge-j", "edge-weight",
+         "classical_bound", "quantum_value"],
+)
+def test_inequality_integer_fields_take_only_sign_and_digits(row, column):
+    # int() reads '0_1' as 1, but emit_inequality never writes it.
+    lines = [line.split() for line in INEQUALITY_TEXT.splitlines()]
+    token = lines[row][column]
+    lines[row][column] = "0_" + token
+    text = "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+    assert parse_inequality(INEQUALITY_TEXT).vertex_weights == (1, 1)
+    with pytest.raises(ParseError) as info:
+        parse_inequality(text)
+    assert str(info.value) == f"line {row + 1}: invalid literal for int() with base 10: '0_{token}'"
 
 
 # ------------------------------------------------------------ subcommands
