@@ -31,9 +31,29 @@ from .rayset import ProblemInstance, build_instance, covered_vertices, prune_unb
 
 SEED_ENV_VAR = "KS_CERTIFY_SEED"
 
+# The instances of the last few ray-set texts loaded or written, keyed by the
+# whole text and newest last.  It spares the parse and graph build when one
+# process runs several commands on one file, as ``prune`` then ``verify``
+# does.  Keying by text means an edited file is never served stale, and
+# instances are frozen, so a hit is what a fresh load would build.
+_INSTANCE_TABLE_SIZE = 4
+_instances: dict[str, ProblemInstance] = {}
+
+
+def _remember(text: str, instance: ProblemInstance) -> None:
+    _instances.pop(text, None)
+    _instances[text] = instance
+    if len(_instances) > _INSTANCE_TABLE_SIZE:
+        del _instances[next(iter(_instances))]
+
 
 def _load_instance(path: str) -> ProblemInstance:
-    return build_instance(parse_rayset(Path(path).read_text(encoding="utf-8")))
+    text = Path(path).read_text(encoding="utf-8")
+    instance = _instances.get(text)
+    if instance is None:
+        instance = build_instance(parse_rayset(text))
+    _remember(text, instance)
+    return instance
 
 
 def _resolve_seed(flag_value: int | None) -> int:
@@ -139,6 +159,9 @@ def _cmd_prune(args: argparse.Namespace, out: TextIO) -> int:
     instance = _load_instance(args.file)
     pruned = prune_unbased(instance)
     text = emit_rayset(pruned.rayset)
+    # Parsing the emitted text gives this instance back: pruning keeps the
+    # rays in order, so the graph and the bases are those a load would build.
+    _remember(text, pruned)
     removed = instance.graph.vertex_count - pruned.graph.vertex_count
     if args.out is None:
         out.write(text)

@@ -11,8 +11,9 @@ The inequality format lists ``term <i> <w_i>`` and ``edge <i> <j> <w_ij>``
 lines followed by ``classical_bound`` and ``quantum_value``; it round-trips
 losslessly through :func:`parse_inequality`.
 
-Every integer field is an optional sign and decimal digits, the syntax the
-emitters write.
+Every integer field is an optional sign and ASCII decimal digits, and every
+float field a decimal literal, ``inf`` or ``nan``: the syntax the emitters
+write.
 """
 
 from __future__ import annotations
@@ -25,8 +26,9 @@ from .rayset import DuplicateRayError, RaySet, ScalarMode, validate_rayset
 
 FORMAT_HEADER = "ksset 1"
 
-_INTEGER = r"[+-]?\d+"
+_INTEGER = r"[+-]?[0-9]+"
 _INTEGER_RE = re.compile(_INTEGER)
+_FLOAT_RE = re.compile(r"[+-]?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?|inf|nan)")
 _EXACT_COMPONENT = re.compile(rf"({_INTEGER})(?::({_INTEGER}))?")
 
 
@@ -54,9 +56,15 @@ def _parse_int(token: str) -> int:
     return int(token)
 
 
+def _parse_float(token: str) -> float:
+    if _FLOAT_RE.fullmatch(token) is None:
+        raise ValueError(f"could not convert string to float: {token!r}")
+    return float(token)
+
+
 def _parse_exact_component(token: str) -> tuple[int, int]:
-    # str.isdecimal accepts exactly the characters that \d matches.
-    if (token[1:] if token[0] in "+-" else token).isdecimal():
+    # For ASCII text str.isdecimal accepts exactly the digits 0-9.
+    if token.isascii() and (token[1:] if token[0] in "+-" else token).isdecimal():
         return int(token), 0
     match = _EXACT_COMPONENT.fullmatch(token)
     if match is None:
@@ -100,7 +108,7 @@ def parse_rayset(text: str) -> RaySet:
             elif keyword == "dim":
                 if dimension is not None:
                     raise ValueError("repeated 'dim' directive")
-                if len(fields) != 1 or not fields[0].isdecimal():
+                if len(fields) != 1 or not (fields[0].isascii() and fields[0].isdecimal()):
                     raise ValueError("'dim' directive needs one integer")
                 dimension = int(fields[0])
                 if dimension < 3:
@@ -114,7 +122,7 @@ def parse_rayset(text: str) -> RaySet:
                     mode = ScalarMode.exact(_parse_int(fields[1]))
                 elif len(fields) == 2 and fields[0] == "numeric":
                     try:
-                        tol = float(fields[1])
+                        tol = _parse_float(fields[1])
                     except ValueError:
                         raise ValueError(f"bad tolerance {fields[1]!r}") from None
                     mode = ScalarMode.numeric(tol)
@@ -132,7 +140,7 @@ def parse_rayset(text: str) -> RaySet:
                 if mode.is_exact:
                     coords = tuple(_parse_exact_component(tok) for tok in fields)
                 else:
-                    coords = tuple(float(tok) for tok in fields)
+                    coords = tuple(_parse_float(tok) for tok in fields)
                 rays.append(RayVector(coords, mode.disc))
                 ray_lines.append(number)
             else:

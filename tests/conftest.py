@@ -9,6 +9,7 @@ import random
 import numpy as np
 import pytest
 
+from kscertify import cli
 from kscertify.algebra import RayVector, canonicalize_ray, exact_ray
 from kscertify.coloring import DefinitionMode
 from kscertify.rayset import (
@@ -110,6 +111,14 @@ def transformed(rayset: RaySet, rng: random.Random, keep: float | None = None) -
             rayset.mode.disc,
         ))
     return validate_rayset(rays, name=rayset.name, mode=rayset.mode)
+
+
+@pytest.fixture(autouse=True)
+def _empty_instance_table() -> None:
+    """Start every test with no loaded instances in the CLI, so that a test
+    that patches ``cli.parse_rayset`` or ``cli.build_instance`` sees every
+    load it makes."""
+    cli._instances.clear()
 
 
 @pytest.fixture(scope="session")

@@ -12,7 +12,9 @@ from pathlib import Path
 import pytest
 
 import kscertify
-from kscertify.catalog import load_rayset, load_text
+from conftest import make_integer_family, make_quadratic_family, transformed
+from kscertify import cli
+from kscertify.catalog import catalog_entries, load_rayset, load_text
 from kscertify.cli import run_command
 from kscertify.coloring import DefinitionMode, verify_assignment
 from kscertify.inequality import build_inequality
@@ -24,7 +26,13 @@ from kscertify.formats import (
     parse_inequality,
     parse_rayset,
 )
-from kscertify.rayset import DuplicateRayError, ScalarMode, build_instance, validate_rayset
+from kscertify.rayset import (
+    DuplicateRayError,
+    ScalarMode,
+    build_instance,
+    prune_unbased,
+    validate_rayset,
+)
 
 MINIMAL = """\
 ksset 1
@@ -163,6 +171,9 @@ def test_exact_parse_matches_the_validated_rays(seed):
         ("int", "1 0 :1", "bad component ':1'; expected 'a' or 'a:b'"),
         ("int", "1 0 \u00bd", "bad component '\u00bd'; expected 'a' or 'a:b'"),
         ("int", "1 0 1_0", "bad component '1_0'; expected 'a' or 'a:b'"),
+        ("numeric 1e-09", "1_0 0 0", "could not convert string to float: '1_0'"),
+        ("numeric 1e-09", "1 0 \u0661", "could not convert string to float: '\u0661'"),
+        ("numeric 1e-09", "1 0 infinity", "could not convert string to float: 'infinity'"),
         ("int", "0 -0 +0", "zero vector is not a ray"),
         ("int", "1:-1 0 0", "zero vector is not a ray"),
         ("quad 2", "0:0 0 -0:+0", "zero vector is not a ray"),
@@ -239,10 +250,36 @@ def test_bad_discriminant_names_the_scalar_line(m, rays, reason, tmp_path, capsy
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
-def test_unicode_decimal_digits_are_digits():
-    # str.isdecimal and the regex's \d accept the same digits.
-    text = "ksset 1\nname t\ndim 3\nscalar quad 2\nray {} 0 0\nray 0 1 0\n"
-    assert parse_rayset(text.format("+\u0663:-\u0661")) == parse_rayset(text.format("3:-1"))
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+RAYSET_TEXT = "ksset 1\nname t\ndim 3\nscalar quad 2\nray +3:-1 0 0\nray 0 1 0\n"
+
+
+@pytest.mark.parametrize(
+    "row, column, message",
+    [
+        (2, 1, "'dim' directive needs one integer"),
+        (3, 2, "invalid literal for int() with base 10: '\u0662'"),
+        (4, 2, "bad component '\u0660'; expected 'a' or 'a:b'"),
+        (5, 2, "bad component '\u0661'; expected 'a' or 'a:b'"),
+    ],
+    ids=["dim", "quad", "component", "component-part"],
+)
+def test_rayset_integer_fields_take_only_ascii_digits(row, column, message):
+    # str.isdecimal and int() also read other scripts' digits, which
+    # emit_rayset never writes.
+    lines = [line.split() for line in RAYSET_TEXT.splitlines()]
+    lines[row][column] = lines[row][column].translate(ARABIC_INDIC)
+    text = "\n".join(" ".join(tokens) for tokens in lines) + "\n"
+    assert len(parse_rayset(RAYSET_TEXT).rays) == 2
+    with pytest.raises(ParseError) as info:
+        parse_rayset(text)
+    assert str(info.value) == f"line {row + 1}: {message}"
+
+
+@pytest.mark.parametrize("token", ["0", "-0", "1.", ".5", "+2.5e-3", "1E-3"])
+def test_numeric_fields_take_decimal_literals(token):
+    text = "ksset 1\nname t\ndim 3\nscalar numeric {0}\nray 1 {0} 0\n"
+    assert parse_rayset(text.format(token)) == parse_rayset(text.format(repr(float(token))))
 
 
 def test_parse_numeric_duplicate_names_line():
@@ -341,6 +378,7 @@ def test_parse_missing_sections():
         ("ksset 1\nscalar int\nscalar quad 2\n", 3, "repeated 'scalar' directive"),
         ("ksset 1\nname\n", 2, "'name' directive needs a value"),
         ("ksset 1\ndim 3\nscalar numeric abc\n", 3, "bad tolerance 'abc'"),
+        ("ksset 1\ndim 3\nscalar numeric 1_0e-1_0\n", 3, "bad tolerance '1_0e-1_0'"),
         ("ksset 1\ndim 3\nscalar quad 0_2\n", 3, "invalid literal for int() with base 10: '0_2'"),
         ("ksset 1\ndim 3\nscalar float\n", 3, "'scalar' directive must be 'int', "),
     ]:
@@ -445,21 +483,25 @@ INEQUALITY_TEXT = "term 0 1\nterm 1 1\nedge 0 1 1\nclassical_bound 1\nquantum_va
 
 
 @pytest.mark.parametrize(
+    "spell", [lambda t: "0_" + t, lambda t: t.translate(ARABIC_INDIC)],
+    ids=["underscore", "arabic-indic"],
+)
+@pytest.mark.parametrize(
     "row, column",
     [(0, 1), (0, 2), (2, 1), (2, 2), (2, 3), (3, 1), (4, 1)],
     ids=["term-vertex", "term-weight", "edge-i", "edge-j", "edge-weight",
          "classical_bound", "quantum_value"],
 )
-def test_inequality_integer_fields_take_only_sign_and_digits(row, column):
-    # int() reads '0_1' as 1, but emit_inequality never writes it.
+def test_inequality_integer_fields_take_only_sign_and_digits(row, column, spell):
+    # int() reads '0_1' and '\u0661' as 1, but emit_inequality never writes them.
     lines = [line.split() for line in INEQUALITY_TEXT.splitlines()]
-    token = lines[row][column]
-    lines[row][column] = "0_" + token
+    token = spell(lines[row][column])
+    lines[row][column] = token
     text = "\n".join(" ".join(tokens) for tokens in lines) + "\n"
     assert parse_inequality(INEQUALITY_TEXT).vertex_weights == (1, 1)
     with pytest.raises(ParseError) as info:
         parse_inequality(text)
-    assert str(info.value) == f"line {row + 1}: invalid literal for int() with base 10: '0_{token}'"
+    assert str(info.value) == f"line {row + 1}: invalid literal for int() with base 10: {token!r}"
 
 
 # ------------------------------------------------------------ subcommands
@@ -682,3 +724,103 @@ def test_random_file_fuzz_round_trip():
         except ValueError:
             continue  # random duplicates are fine to skip
         assert parse_rayset(emit_rayset(rayset)) == rayset
+
+
+# ------------------------------------------------------- instance table
+
+
+def _numeric_form(rayset):
+    rays = [numeric_ray(ray.to_floats()) for ray in rayset.rays]
+    return validate_rayset(rays, name=rayset.name, mode=ScalarMode.numeric(1e-9))
+
+
+def _table_raysets():
+    rng = random.Random(24)
+    exact = [load_rayset(entry.id) for entry in catalog_entries()]
+    exact += [
+        make_integer_family(3, (1, 2)),
+        make_integer_family(4, (1,)),
+        make_quadratic_family(3, ((1, 0), (0, 1)), 2),
+    ]
+    exact += [transformed(rayset, rng) for rayset in exact]
+    return exact + [_numeric_form(rayset) for rayset in exact]
+
+
+def test_pruned_text_loads_as_the_pruned_instance():
+    # What lets `prune` enter the text it writes with the instance it holds.
+    for rayset in _table_raysets():
+        pruned = prune_unbased(build_instance(rayset))
+        assert build_instance(parse_rayset(emit_rayset(pruned.rayset))) == pruned, rayset.name
+
+
+def _certify_steps(source, pruned, tmp_path):
+    return [
+        ["prune", source, "--out", pruned],
+        ["verify", pruned, "--mode", "original"],
+        ["verify", pruned, "--mode", "extended"],
+        ["inequality", pruned, "--out", str(tmp_path / "ineq.txt")],
+        ["evaluate", pruned, "--state", "random", "--trials", "2", "--seed", "5"],
+        ["info", pruned],
+    ]
+
+
+def _q2_file(tmp_path, numeric=False):
+    rayset = make_quadratic_family(3, ((1, 0), (0, 1)), 2)
+    path = tmp_path / "q2.ks"
+    path.write_text(emit_rayset(_numeric_form(rayset) if numeric else rayset), encoding="utf-8")
+    return str(path)
+
+
+def test_certify_sequence_parses_its_input_once(tmp_path, monkeypatch):
+    parsed = []
+
+    def counted(text):
+        parsed.append(text)
+        return parse_rayset(text)
+
+    monkeypatch.setattr(cli, "parse_rayset", counted)
+    source = _q2_file(tmp_path)
+    for argv in _certify_steps(source, str(tmp_path / "pruned.ks"), tmp_path):
+        assert run(argv)[0] in (0, 1)
+    assert parsed == [Path(source).read_text(encoding="utf-8")]
+
+
+def test_edited_file_is_loaded_again(peres_file, tmp_path):
+    assert run(["verify", peres_file])[0] == 0
+    Path(peres_file).write_text(MINIMAL, encoding="utf-8")
+    status, text = run(["verify", peres_file])
+    assert (status, "rays 3" in text) == (1, True)
+
+
+def test_table_holds_the_four_newest_texts(tmp_path):
+    texts = []
+    for k in range(10):
+        path = tmp_path / f"t{k}.ks"
+        texts.append(MINIMAL.replace("name t", f"name t{k}"))
+        path.write_text(texts[-1], encoding="utf-8")
+        assert run(["info", str(path)])[0] == 0
+        assert len(cli._instances) <= 4
+    assert list(cli._instances) == texts[-4:]
+
+
+def test_parse_error_is_not_remembered(tmp_path, capsys):
+    path = tmp_path / "bad.ks"
+    path.write_text("ksset 1\nname t\ndim 3\nscalar int\nray 1 0 x\n", encoding="utf-8")
+    results = []
+    for _ in range(2):
+        results.append((run(["verify", str(path)]), capsys.readouterr().err))
+    message = "error: line 5: bad component 'x'; expected 'a' or 'a:b'\n"
+    assert results[0] == results[1] == ((2, ""), message)
+    assert not cli._instances
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["exact", "numeric"])
+def test_table_does_not_change_output(numeric, tmp_path):
+    source = _q2_file(tmp_path, numeric)
+    steps = _certify_steps(source, str(tmp_path / "pruned.ks"), tmp_path)
+    with_table = [run(argv) for argv in steps]
+    without_table = []
+    for argv in steps:
+        cli._instances.clear()
+        without_table.append(run(argv))
+    assert with_table == without_table
