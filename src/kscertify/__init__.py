@@ -11,7 +11,6 @@ from __future__ import annotations
 from .algebra import (
     DEFAULT_TOLERANCE,
     RayVector,
-    canonicalize_ray,
     exact_ray,
     is_orthogonal,
     is_square_free,
@@ -76,7 +75,6 @@ __all__ = [
     "build_graph",
     "build_inequality",
     "build_instance",
-    "canonicalize_ray",
     "catalog_entries",
     "check_colorable",
     "compute_weights",

@@ -44,8 +44,12 @@ def check_discriminant(m: int) -> None:
 
 @dataclass(frozen=True, slots=True)
 class RayVector:
-    """A nonzero vector: (rat, irr) int pairs over Z[sqrt(disc)] when
-    ``disc`` is set, floats when it is None."""
+    """A nonzero vector, stored in the canonical form of its projective ray:
+    when ``disc`` is set, (rat, irr) int pairs over Z[sqrt(disc)] divided by
+    the gcd of all parts, signed like the first nonzero part; when it is
+    None, floats at unit Euclidean norm with the first coordinate above
+    1e-12 in size positive.  Colinear inputs with a rational factor build
+    equal rays, and rebuilding a ray keeps its coordinates bit for bit."""
 
     coords: tuple[tuple[int, int], ...] | tuple[float, ...]
     disc: int | None = None
@@ -56,7 +60,7 @@ class RayVector:
         m = self.disc
         if m is None:
             coords = tuple(float(c) for c in self.coords)
-            # Canonical scaling divides by the norm, so it must be a
+            # The coordinates are divided by the norm, so it must be a
             # positive finite float: no nan or inf, no underflow to 0 and
             # no overflow of the squares.
             norm_squared = math.fsum(x * x for x in coords)
@@ -64,6 +68,13 @@ class RayVector:
                 if not any(coords):
                     raise ValueError("zero vector is not a ray")
                 raise ValueError(f"squared norm {norm_squared!r} is not a positive finite float")
+            norm = math.sqrt(norm_squared)
+            # Within 1e-12 of unit length the coordinates are kept: dividing
+            # would perturb the last bits, and rebuilding must be exact.
+            if abs(norm - 1.0) > 1e-12:
+                coords = tuple(x / norm for x in coords)
+            if next(x for x in coords if abs(x) > 1e-12) < 0:
+                coords = tuple(-x for x in coords)
         else:
             check_discriminant(m)
             coords = tuple(self.coords)
@@ -76,8 +87,13 @@ class RayVector:
                 # sqrt(1) = 1, so fold the irrational part away and keep
                 # plain-integer coordinates in the form (a, 0).
                 coords = tuple((rat + irr, 0) for rat, irr in coords)
-            if not any(rat or irr for rat, irr in coords):
+            parts = [p for c in coords for p in c]
+            first = next(filter(None, parts), 0)
+            if not first:
                 raise ValueError("zero vector is not a ray")
+            g = math.gcd(*parts) if first > 0 else -math.gcd(*parts)
+            if g != 1:
+                coords = tuple((rat // g, irr // g) for rat, irr in coords)
         object.__setattr__(self, "coords", coords)
 
     @property
@@ -135,31 +151,3 @@ def is_orthogonal(u: RayVector, v: RayVector, tol: float = DEFAULT_TOLERANCE) ->
         return rat == 0 and irr == 0
     ip = math.fsum(a * b for a, b in zip(u.coords, v.coords))
     return abs(ip) <= tol * _euclidean_norm(u) * _euclidean_norm(v)
-
-
-def canonicalize_ray(v: RayVector) -> RayVector:
-    """Scale-invariant canonical form of a projective ray.
-
-    Exact rays are divided by the gcd of their parts, signed like the first
-    nonzero part.  Numeric rays are scaled to unit Euclidean norm with the
-    first nonzero coordinate positive.  Colinear inputs with a rational
-    scale factor map to identical outputs.
-    """
-    if v.exact:
-        parts = [p for c in v.coords for p in c]
-        g = math.gcd(*parts) if next(filter(None, parts)) > 0 else -math.gcd(*parts)
-        if g == 1:
-            # Already canonical, as every ray of an emitted file is.
-            return v
-        return RayVector(tuple((a // g, b // g) for a, b in v.coords), v.disc)
-    norm = _euclidean_norm(v)
-    if abs(norm - 1.0) <= 1e-12:
-        # Already unit length: renormalizing would perturb the last bits,
-        # and canonicalization must be exactly idempotent for round trips.
-        coords = tuple(v.coords)
-    else:
-        coords = tuple(x / norm for x in v.coords)
-    first = next(x for x in coords if abs(x) > 1e-12)
-    if first < 0:
-        coords = tuple(-x for x in coords)
-    return RayVector(coords)

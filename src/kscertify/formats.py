@@ -4,8 +4,10 @@ The ray-set format is line oriented: a header ``ksset 1``, then ``name``,
 ``dim`` and ``scalar`` directives, then one ``ray`` line per ray.  Exact
 components are written ``a`` or ``a:b`` (meaning a + b*sqrt(m) for the
 declared discriminant m); numeric components are plain floats.  ``#`` starts
-a comment.  Files re-emitted by :func:`emit_rayset` are in canonical form:
-directives in a fixed order and every ray canonicalized.
+a comment.  Building a ray stores its canonical form (see
+:class:`~kscertify.algebra.RayVector`), so files re-emitted by
+:func:`emit_rayset` are canonical: directives in a fixed order and every ray
+in that form.
 
 The inequality format lists ``term <i> <w_i>`` and ``edge <i> <j> <w_ij>``
 lines followed by ``classical_bound`` and ``quantum_value``; it round-trips
@@ -74,7 +76,7 @@ def _parse_exact_component(token: str) -> tuple[int, int]:
 
 
 def parse_rayset(text: str) -> RaySet:
-    """Parse ray-set file text into a validated, canonicalized RaySet.
+    """Parse ray-set file text into a validated RaySet of canonical rays.
 
     Raises ParseError (naming the offending line) for an unknown header,
     unknown or repeated directives, a dimension below 3, bad component

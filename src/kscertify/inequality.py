@@ -74,11 +74,11 @@ def _max_weight_independent_set(
     cover of its candidates, each clique counted at its heaviest member,
     cannot add more than the incumbent already has: an independent set takes
     at most one vertex per clique, so the returned value is exact.
-    ``symmetries`` must be a group of automorphisms of (graph, weights);
-    ``weighted_independence_number`` checks that before calling.
+    The weights must be valid and ``symmetries`` a group of automorphisms
+    of (graph, weights); ``weighted_independence_number`` checks both before
+    calling.
     """
     n = graph.vertex_count
-    _validate_weights(weights, n)
     order = sorted(range(n), key=lambda v: (-weights[v], v))
     rank = [0] * n
     for r, v in enumerate(order):
@@ -93,16 +93,9 @@ def _max_weight_independent_set(
     renumbered = (tuple(map(rank.__getitem__, map(g.__getitem__, order))) for g in symmetries)
     group = tuple(g for g in dict.fromkeys(renumbered) if g != identity)
 
-    # Greedy independent set, heaviest first: the initial incumbent.
+    # The first path down always takes the heaviest candidate, so the first
+    # incumbent weighs what the greedy independent set, heaviest first, does.
     best = best_set = 0
-    free = (1 << n) - 1
-    while free:
-        low = free & -free
-        v = low.bit_length() - 1
-        best += w[v]
-        best_set |= low
-        free &= ~low & ~adj[v]
-
     # Each frame: (candidates, weight taken, vertices taken, group).
     stack = [((1 << n) - 1, 0, 0, group)]
     while stack:
@@ -220,13 +213,29 @@ class Inequality:
     quantum_value: int
 
     def __post_init__(self) -> None:
+        # The checks and messages of parse_inequality, so that every record
+        # built here is one that its file format reads back.
+        weights = self.vertex_weights
+        edge_fields = (x for edge in self.edge_terms for x in edge)
+        for x in (*weights, *edge_fields, self.classical_bound, self.quantum_value):
+            if type(x) is not int:
+                raise ValueError(f"inequality field {x!r} is not an int")
+        for index, weight in enumerate(weights):
+            if weight < 0:
+                raise ValueError(f"negative weight {weight} for vertex {index}")
+        previous = (0, 0)  # below every ordered pair
         for i, j, w in self.edge_terms:
-            if w < max(self.vertex_weights[i], self.vertex_weights[j]):
-                raise ValueError(
-                    f"edge weight {w} on ({i}, {j}) is below max(w_i, w_j)"
-                )
-        if list(self.edge_terms) != sorted(self.edge_terms):
-            raise ValueError("edge terms must be sorted")
+            if i >= j:
+                raise ValueError(f"edge ({i}, {j}) is not an ordered vertex pair")
+            if i < 0 or j >= len(weights):
+                raise ValueError(f"edge ({i}, {j}) references an unknown vertex")
+            if w < max(weights[i], weights[j]):
+                raise ValueError(f"edge weight {w} on ({i}, {j}) is below max(w_i, w_j)")
+            if previous == (i, j):
+                raise ValueError(f"repeated edge ({i}, {j})")
+            if previous > (i, j):
+                raise ValueError("edge terms must be sorted")
+            previous = i, j
         if self.classical_bound > self.quantum_value:
             raise ValueError("classical bound cannot exceed the quantum value")
 

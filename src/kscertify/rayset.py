@@ -19,7 +19,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .algebra import DEFAULT_TOLERANCE, RayVector, canonicalize_ray, check_discriminant
+from .algebra import DEFAULT_TOLERANCE, RayVector, check_discriminant
 
 
 class DuplicateRayError(ValueError):
@@ -91,7 +91,7 @@ class RaySet:
 
 
 def validate_rayset(rays: Sequence[RayVector], name: str, mode: ScalarMode) -> RaySet:
-    """Canonicalize and cross-check candidate rays into a RaySet.
+    """Cross-check rays, each already in canonical form, into a RaySet.
 
     Raises ValueError for an empty list, dimension below 3, inconsistent
     dimensions, or rays that do not match the declared scalar mode, and
@@ -109,14 +109,13 @@ def validate_rayset(rays: Sequence[RayVector], name: str, mode: ScalarMode) -> R
             raise ValueError(
                 f"ray {i} has discriminant {ray.disc}, not {mode.disc} of scalar mode {mode.kind}"
             )
-    canonical = tuple(canonicalize_ray(r) for r in rays)
     if mode.is_exact:
         m = mode.disc
         # A canonical integer ray is its own colinearity key.  For m > 1 the
         # canonical form keeps factors such as sqrt(2), which the key removes.
-        keys = [ray.coords for ray in canonical]
+        keys = [ray.coords for ray in rays]
         if m > 1:
-            keys = map(tuple, _colinearity_rows(*_exact_parts(canonical, m), m).tolist())
+            keys = map(tuple, _colinearity_rows(*_exact_parts(rays, m), m).tolist())
         seen: dict[tuple, int] = {}
         for i, key in enumerate(keys):
             first = seen.setdefault(key, i)
@@ -127,11 +126,11 @@ def validate_rayset(rays: Sequence[RayVector], name: str, mode: ScalarMode) -> R
         # directly off the Gram matrix.  np.nonzero walks the strict lower
         # triangle in row-major order: the pair reported has the smallest j,
         # then the smallest i.
-        x = np.array([ray.coords for ray in canonical], dtype=float)
+        x = np.array([ray.coords for ray in rays], dtype=float)
         j, i = np.nonzero(np.tril(np.abs(x @ x.T) > 1.0 - 1e-9, -1))
         if len(j):
             raise DuplicateRayError(int(i[0]), int(j[0]))
-    return RaySet(name=name, dimension=dimension, mode=mode, rays=canonical)
+    return RaySet(name=name, dimension=dimension, mode=mode, rays=tuple(rays))
 
 
 @dataclass(frozen=True)
@@ -158,9 +157,6 @@ class CompatibilityGraph:
             masks[i] |= 1 << j
             masks[j] |= 1 << i
         return tuple(masks)
-
-    def has_edge(self, i: int, j: int) -> bool:
-        return bool(self.neighbors[i] >> j & 1)
 
     def sorted_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edges)

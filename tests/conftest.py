@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from kscertify import cli
-from kscertify.algebra import RayVector, canonicalize_ray, exact_ray
+from kscertify.algebra import RayVector, exact_ray
 from kscertify.coloring import DefinitionMode
 from kscertify.rayset import (
     Basis,
@@ -35,7 +35,7 @@ def _orbit(seed: tuple[tuple[int, int], ...], disc: int) -> set[tuple[tuple[int,
             )
             if all(c == (0, 0) for c in coords):
                 continue
-            out.add(canonicalize_ray(RayVector(coords, disc)).coords)
+            out.add(RayVector(coords, disc).coords)
     return out
 
 

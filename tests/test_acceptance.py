@@ -82,13 +82,14 @@ def _random_weighted_graph(rng: random.Random):
 
 
 def _maximum_cliques(graph: CompatibilityGraph) -> list[tuple[int, ...]]:
-    """All cliques of maximum size, found by exhaustive extension."""
+    """All cliques of maximum size, found by exhaustive extension over
+    ``graph.edges`` alone, not the neighbour masks that enumerate_bases reads."""
     found: list[tuple[int, ...]] = []
 
     def extend(clique: tuple[int, ...], candidates: list[int]) -> None:
         found.append(clique)
         for k, v in enumerate(candidates):
-            extend(clique + (v,), [w for w in candidates[k + 1 :] if graph.has_edge(v, w)])
+            extend(clique + (v,), [w for w in candidates[k + 1 :] if (v, w) in graph.edges])
 
     extend((), list(range(graph.vertex_count)))
     best = max(len(c) for c in found)

@@ -7,14 +7,16 @@ import random
 
 import pytest
 
+from conftest import make_integer_family, make_peres33, make_quadratic_family
 from kscertify.algebra import (
     RayVector,
-    canonicalize_ray,
     exact_ray,
     is_orthogonal,
     is_square_free,
     numeric_ray,
 )
+from kscertify.formats import emit_rayset, parse_rayset
+from kscertify.rayset import RaySet, ScalarMode, validate_rayset
 
 
 class TestRayVector:
@@ -140,24 +142,27 @@ class TestInnerProduct:
 
 
 class TestCanonicalize:
+    """Building a ray stores the canonical form of its projective ray."""
+
     def test_gcd_and_sign(self):
         v = exact_ray([-2, 0, 2], disc=2)
-        assert canonicalize_ray(v) == exact_ray([1, 0, -1], disc=2)
+        assert v.coords == ((1, 0), (0, 0), (-1, 0))
+        assert v == exact_ray([1, 0, -1], disc=2)
 
     def test_gcd_spans_both_parts(self):
         # (0, 2*sqrt(2), 2) reduces to (0, sqrt(2), 1)
         v = exact_ray([(0, 0), (0, 2), (2, 0)], disc=2)
-        assert canonicalize_ray(v) == exact_ray([(0, 0), (0, 1), (1, 0)], disc=2)
+        assert v.coords == ((0, 0), (0, 1), (1, 0))
 
     def test_fixed_point(self):
-        v = exact_ray([1, 0, 0], disc=2)
-        assert canonicalize_ray(v) is v
+        for v in exact_ray([1, 0, 0], disc=2), numeric_ray([0.1, 0.2, -0.3]):
+            assert RayVector(v.coords, v.disc).coords == v.coords
 
     def test_lexicographic_sign_rule(self):
         # First nonzero coordinate (-1, 2) is lexicographically negative,
         # so the whole ray is flipped even though -1 + 2*sqrt(2) > 0.
         v = exact_ray([(-1, 2), (3, 0), (0, 0)], disc=2)
-        assert canonicalize_ray(v) == exact_ray([(1, -2), (-3, 0), (0, 0)], disc=2)
+        assert v.coords == ((1, -2), (-3, 0), (0, 0))
 
     def test_idempotent_randomized(self):
         rng = random.Random(4242)
@@ -171,14 +176,13 @@ class TestCanonicalize:
                 ]
                 if any(c != (0, 0) for c in coords):
                     break
-            v = exact_ray(coords, disc=m)
-            c1 = canonicalize_ray(v)
+            c1 = exact_ray(coords, disc=m)
             g = math.gcd(*(p for c in coords for p in c))
             reference = [(a // g, b // g) for a, b in coords]
             if next(c for c in reference if c != (0, 0)) < (0, 0):
                 reference = [(-a, -b) for a, b in reference]
-            assert c1 == exact_ray(reference, disc=m)
-            assert canonicalize_ray(c1) is c1
+            assert c1.coords == tuple(reference)
+            assert RayVector(c1.coords, m).coords == c1.coords
 
     def test_rational_scale_invariance_randomized(self):
         rng = random.Random(515)
@@ -193,9 +197,59 @@ class TestCanonicalize:
             lam = rng.choice([x for x in range(-6, 7) if x != 0])
             v = exact_ray(coords, disc=m)
             scaled = exact_ray([(lam * a, lam * b) for a, b in coords], disc=m)
-            assert canonicalize_ray(scaled) == canonicalize_ray(v)
+            assert scaled == v
 
     def test_numeric_canonical_is_unit_norm(self):
-        v = canonicalize_ray(numeric_ray([-3.0, 0.0, 4.0]))
+        v = numeric_ray([-3.0, 0.0, 4.0])
         assert math.fsum(x * x for x in v.coords) == pytest.approx(1.0)
         assert v.coords[0] > 0
+
+    def test_numeric_fixed_point_randomized(self):
+        # Bit for bit: a stored numeric ray is within 1e-12 of unit length,
+        # so building it again keeps every coordinate.
+        rng = random.Random(77)
+        for _ in range(500):
+            v = numeric_ray([rng.gauss(0.0, 10.0) for _ in range(rng.choice((3, 4, 6)))])
+            assert RayVector(v.coords).coords == v.coords
+            assert RayVector(tuple(-x for x in v.coords)) == v
+
+    def test_numeric_sign_skips_coordinates_near_zero(self):
+        # Coordinates of size at most 1e-12 do not decide the sign.
+        v = numeric_ray([-1e-13, -1.0, 0.0])
+        assert v.coords == (1e-13, 1.0, -0.0)
+
+
+# The families of tests/conftest.py, exact and in numeric form.
+ROUND_TRIP_FAMILIES = {
+    "int3{0,1,2}": lambda: make_integer_family(3, (1, 2)),
+    "int4{0,1}": lambda: make_integer_family(4, (1,)),
+    "q2_3{0,1,r2}": lambda: make_quadratic_family(3, ((1, 0), (0, 1)), disc=2),
+    "peres-33": make_peres33,
+}
+
+
+def _numeric_form(rayset: RaySet) -> RaySet:
+    rays = [numeric_ray(ray.to_floats()) for ray in rayset.rays]
+    return validate_rayset(rays, name=rayset.name, mode=ScalarMode.numeric())
+
+
+@pytest.mark.parametrize("numeric", [False, True], ids=["exact", "numeric"])
+@pytest.mark.parametrize("family", ROUND_TRIP_FAMILIES)
+def test_families_are_built_canonical(family, numeric):
+    rayset = ROUND_TRIP_FAMILIES[family]()
+    if numeric:
+        rayset = _numeric_form(rayset)
+    rng = random.Random(family)
+    for ray in rayset.rays:
+        # -1 flips back exactly; a numeric ray times k > 1 is unit length
+        # again only up to rounding.
+        for k in (-1, *rng.sample([k for k in range(-9, 10) if k not in (-1, 0, 1)], 3)):
+            if ray.exact:
+                scaled = RayVector(tuple((k * a, k * b) for a, b in ray.coords), ray.disc)
+                assert scaled == ray
+            elif k == -1:
+                assert RayVector(tuple(-x for x in ray.coords)) == ray
+            else:
+                scaled = RayVector(tuple(k * x for x in ray.coords))
+                assert scaled.coords == pytest.approx(ray.coords, abs=1e-15)
+    assert parse_rayset(emit_rayset(rayset)) == rayset

@@ -21,8 +21,9 @@ from conftest import (
     transformed,
 )
 from kscertify.algebra import exact_ray
-from kscertify.catalog import load_rayset
+from kscertify.catalog import catalog_entries, load_rayset
 from kscertify.coloring import DefinitionMode, check_colorable
+from kscertify.formats import emit_inequality, parse_inequality
 from kscertify.inequality import (
     Inequality,
     StateSpec,
@@ -191,7 +192,7 @@ class TestIndependenceNumber:
 
     def test_deep_search_has_no_recursion_ceiling(self):
         # A heavy path a-b-c (weights 20, 30, 20) ahead of k disjoint light
-        # edges: the greedy incumbent takes b, the optimum takes a and c, and
+        # edges: the first incumbent takes b, the optimum takes a and c, and
         # the search reaches it only by branching on one vertex of every edge,
         # more levels deep than the interpreter's recursion limit.
         k = sys.getrecursionlimit() + 100
@@ -330,6 +331,42 @@ class TestBuildInequality:
             Inequality((1, 1, 1), ((0, 2, 1), (0, 1, 1)), 1, 1)
         with pytest.raises(ValueError, match="classical"):
             Inequality((1, 1), ((0, 1, 1),), 3, 2)
+
+    # Each record was accepted before, and emit_inequality then wrote text
+    # that parse_inequality refuses (or, for (0, 5), raised IndexError).
+    @pytest.mark.parametrize(
+        "weights, edges, message",
+        [
+            ((1, 1, 1), ((1, 0, 1),), r"edge \(1, 0\) is not an ordered vertex pair"),
+            ((1, 1, 1), ((0, 1, 1), (0, 1, 1)), r"repeated edge \(0, 1\)"),
+            ((1, -4, 1), (), "negative weight -4 for vertex 1"),
+            ((1, 1, 1), ((-1, 0, 1),), r"edge \(-1, 0\) references an unknown vertex"),
+            ((1, 1, 1), ((0, 5, 1),), r"edge \(0, 5\) references an unknown vertex"),
+        ],
+    )
+    def test_rejects_what_the_file_format_rejects(self, weights, edges, message):
+        with pytest.raises(ValueError, match=message):
+            Inequality(weights, edges, 1, 3)
+
+    @pytest.mark.parametrize(
+        "record",
+        [
+            ((1, 1.5, 1), (), 1, 3),
+            ((1, True, 1), (), 1, 3),
+            ((1, 1, 1), ((0, 1, 1.5),), 1, 3),
+            ((1, 1, 1), ((0.0, 1, 1),), 1, 3),
+            ((1, 1, 1), (), 1.5, 3),
+            ((1, 1, 1), (), 1, "3"),
+        ],
+    )
+    def test_every_field_is_an_int(self, record):
+        with pytest.raises(ValueError, match="is not an int"):
+            Inequality(*record)
+
+    @pytest.mark.parametrize("entry", [e.id for e in catalog_entries()])
+    def test_catalog_inequality_round_trips(self, entry):
+        inequality = build_inequality(prune_unbased(build_instance(load_rayset(entry))))
+        assert parse_inequality(emit_inequality(inequality)) == inequality
 
 
 class TestGapReport:
